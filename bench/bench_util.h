@@ -92,14 +92,12 @@ struct KernelCaseRow {
   double max_abs_diff = 0.0;  // batch vs per-pair, should be ~0
 };
 
-/// End-to-end Phase-2 + Phase-3 timings of the two dispatch modes at one
-/// input size, single-threaded.
+/// End-to-end Phase-2 + Phase-3 timings at one input size, single-
+/// threaded, and whether both matched the per-pair reference bit for bit.
 struct KernelEndToEndRow {
   size_t tuples = 0;
   size_t leaves = 0;
-  double phase2_per_pair_seconds = 0.0;
   double phase2_batch_seconds = 0.0;
-  double phase3_per_pair_seconds = 0.0;
   double phase3_batch_seconds = 0.0;
   bool bit_identical = false;
 };
@@ -122,24 +120,12 @@ inline void PrintKernelJson(const std::vector<KernelCaseRow>& micro,
         r.candidate_support, r.per_pair_ns_per_eval, r.batch_ns_per_eval,
         speedup, r.max_abs_diff);
   }
-  const double p2_speedup = e2e.phase2_batch_seconds > 0.0
-                                ? e2e.phase2_per_pair_seconds /
-                                      e2e.phase2_batch_seconds
-                                : 0.0;
-  const double p3_speedup = e2e.phase3_batch_seconds > 0.0
-                                ? e2e.phase3_per_pair_seconds /
-                                      e2e.phase3_batch_seconds
-                                : 0.0;
   std::printf(
       "], \"end_to_end\": {\"tuples\": %zu, \"leaves\": %zu, "
-      "\"phase2_per_pair_seconds\": %.6f, \"phase2_batch_seconds\": %.6f, "
-      "\"phase2_speedup\": %.2f, \"phase3_per_pair_seconds\": %.6f, "
-      "\"phase3_batch_seconds\": %.6f, \"phase3_speedup\": %.2f, "
+      "\"phase2_batch_seconds\": %.6f, \"phase3_batch_seconds\": %.6f, "
       "\"bit_identical\": %s}}\n",
-      e2e.tuples, e2e.leaves, e2e.phase2_per_pair_seconds,
-      e2e.phase2_batch_seconds, p2_speedup, e2e.phase3_per_pair_seconds,
-      e2e.phase3_batch_seconds, p3_speedup,
-      e2e.bit_identical ? "true" : "false");
+      e2e.tuples, e2e.leaves, e2e.phase2_batch_seconds,
+      e2e.phase3_batch_seconds, e2e.bit_identical ? "true" : "false");
 }
 
 /// FNV-1a mixing helpers for the result checksum below.

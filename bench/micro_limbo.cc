@@ -9,10 +9,11 @@
 //    (threads -> per-phase wall time) and cross-checking that every lane
 //    count reproduces the serial merge sequence bit-for-bit.
 //  * `micro_limbo --kernel [--tuples=N]` benchmarks the δI distance
-//    kernel: per-pair dispatch vs the arena batch kernel across support
-//    shapes, plus a single-threaded Phase-2 + Phase-3 comparison of the
-//    two dispatch modes, with a built-in bit-identity check. Its output
-//    is what BENCH_kernel.json records.
+//    kernel: the per-pair formulation vs the arena batch kernel across
+//    support shapes, plus single-threaded Phase-2 + Phase-3 timings whose
+//    results must match the per-pair reference (tests/reference) bit for
+//    bit, else the exit status is 1. Its output is what
+//    BENCH_kernel.json records.
 //  * `micro_limbo --report[=path] [--tuples=N] [--refit-tuples=M]` runs
 //    the full LIMBO pipeline once over a DBLP-sized input and emits a
 //    structured run report (same schema as `limbo-tool --report=...`:
@@ -110,6 +111,7 @@
 #include "model/fit.h"
 #include "model/model_bundle.h"
 #include "model/refit.h"
+#include "reference/per_pair.h"
 #include "relation/csv_io.h"
 #include "relation/row_source.h"
 #include "relation/source_stats.h"
@@ -406,9 +408,9 @@ bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
   return row;
 }
 
-/// Kernel benchmark mode: micro sweep over support shapes, then a
-/// single-threaded Phase-2 + Phase-3 comparison of per-pair vs batch
-/// dispatch on the DBLP input, with a bit-identity check.
+/// Kernel benchmark mode: micro sweep over support shapes, then the
+/// single-threaded Phase-2 + Phase-3 hot path on the DBLP input, checked
+/// bit for bit against the per-pair reference (tests/reference).
 int RunKernelBench(size_t tuples) {
   std::vector<bench::KernelCaseRow> micro;
   micro.push_back(MeasureKernelCase("equal_8", 8, 8, 1));
@@ -437,75 +439,55 @@ int RunKernelBench(size_t tuples) {
   bench::KernelEndToEndRow e2e;
   e2e.tuples = objects.size();
   e2e.leaves = leaves.size();
-  e2e.bit_identical = true;
 
   core::AibOptions aib_options;
   aib_options.threads = 1;
   constexpr int kReps = 3;
-  util::Result<core::AibResult> batch_aib =
-      util::Status::InvalidArgument("unset");
-  util::Result<core::AibResult> pair_aib =
-      util::Status::InvalidArgument("unset");
+  util::Result<core::AibResult> aib = util::Status::InvalidArgument("unset");
   e2e.phase2_batch_seconds = 1e30;
-  e2e.phase2_per_pair_seconds = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    aib_options.kernel = core::AibOptions::DistanceKernel::kBatch;
-    auto start = std::chrono::steady_clock::now();
-    batch_aib = core::AgglomerativeIb(leaves, aib_options);
+    const auto start = std::chrono::steady_clock::now();
+    aib = core::AgglomerativeIb(leaves, aib_options);
     e2e.phase2_batch_seconds =
         std::min(e2e.phase2_batch_seconds, Seconds(start));
-    aib_options.kernel = core::AibOptions::DistanceKernel::kPerPair;
-    start = std::chrono::steady_clock::now();
-    pair_aib = core::AgglomerativeIb(leaves, aib_options);
-    e2e.phase2_per_pair_seconds =
-        std::min(e2e.phase2_per_pair_seconds, Seconds(start));
   }
-  if (!batch_aib.ok() || !pair_aib.ok()) {
+  if (!aib.ok()) {
     std::fprintf(stderr, "AIB failed\n");
     return 1;
   }
-  const auto& bm = batch_aib->merges();
-  const auto& pm = pair_aib->merges();
-  bool same = bm.size() == pm.size();
+  const std::vector<core::Merge> ref_merges =
+      reference::AibMerges(leaves, aib_options.min_k);
+  const auto& bm = aib->merges();
+  bool same = bm.size() == ref_merges.size();
   for (size_t i = 0; same && i < bm.size(); ++i) {
-    same = bm[i].left == pm[i].left && bm[i].right == pm[i].right &&
-           bm[i].delta_i == pm[i].delta_i &&
-           bm[i].cumulative_loss == pm[i].cumulative_loss;
+    same = bm[i].left == ref_merges[i].left &&
+           bm[i].right == ref_merges[i].right &&
+           bm[i].delta_i == ref_merges[i].delta_i &&
+           bm[i].cumulative_loss == ref_merges[i].cumulative_loss;
   }
-  e2e.bit_identical = e2e.bit_identical && same;
 
   const size_t k = std::min<size_t>(10, leaves.size());
-  auto reps = core::ClusterDcfsAtK(leaves, *batch_aib, k);
+  auto reps = core::ClusterDcfsAtK(leaves, *aib, k);
   if (!reps.ok()) {
     std::fprintf(stderr, "%s\n", reps.status().ToString().c_str());
     return 1;
   }
-  std::vector<double> batch_loss;
-  std::vector<double> pair_loss;
-  util::Result<std::vector<uint32_t>> batch_labels =
-      util::Status::InvalidArgument("unset");
-  util::Result<std::vector<uint32_t>> pair_labels =
+  std::vector<double> loss;
+  util::Result<std::vector<uint32_t>> labels =
       util::Status::InvalidArgument("unset");
   e2e.phase3_batch_seconds = 1e30;
-  e2e.phase3_per_pair_seconds = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    batch_labels = core::LimboPhase3(objects, *reps, &batch_loss, 1,
-                                     /*batch_kernel=*/true);
+    const auto start = std::chrono::steady_clock::now();
+    labels = core::LimboPhase3(objects, *reps, &loss, 1);
     e2e.phase3_batch_seconds =
         std::min(e2e.phase3_batch_seconds, Seconds(start));
-    start = std::chrono::steady_clock::now();
-    pair_labels = core::LimboPhase3(objects, *reps, &pair_loss, 1,
-                                    /*batch_kernel=*/false);
-    e2e.phase3_per_pair_seconds =
-        std::min(e2e.phase3_per_pair_seconds, Seconds(start));
   }
-  if (!batch_labels.ok() || !pair_labels.ok()) {
+  if (!labels.ok()) {
     std::fprintf(stderr, "Phase 3 failed\n");
     return 1;
   }
-  e2e.bit_identical = e2e.bit_identical && *batch_labels == *pair_labels &&
-                      batch_loss == pair_loss;
+  const reference::Assignment ref = reference::AssignToNearest(objects, *reps);
+  e2e.bit_identical = same && *labels == ref.labels && loss == ref.losses;
 
   bench::PrintKernelJson(micro, e2e);
   return e2e.bit_identical ? 0 : 1;

@@ -54,29 +54,20 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   // round-robin chunk->lane mapping balances the triangular initial build.
   constexpr size_t kGrain = 16;
 
-  const bool batch = options.kernel == AibOptions::DistanceKernel::kBatch;
-
   // Per-slot state. slot_cluster_id maps a live slot to its global cluster
-  // id (scipy convention). In batch mode the conditionals live as arena
-  // rows (slot_row indexes them) with slot_p alongside; in per-pair mode
-  // slot_dcf holds the merged statistics as before. Either way the
-  // conditional masses are bit-identical (AppendMerge replicates
-  // WeightedMerge's expressions), so the two modes agree exactly.
-  std::vector<Dcf> slot_dcf;
+  // id (scipy convention); the conditionals live as arena rows (slot_row
+  // indexes them) with slot_p alongside.
   DistributionArena arena;
-  std::vector<size_t> slot_row;
+  std::vector<size_t> slot_row(q);
   std::vector<double> slot_p(q);
-  for (size_t i = 0; i < q; ++i) slot_p[i] = inputs[i].p;
-  if (batch) {
-    size_t total_entries = 0;
-    for (const Dcf& in : inputs) total_entries += in.cond.SupportSize();
-    // Merged rows append behind the inputs; 2x covers the whole
-    // dendrogram in the common case without a mid-run realloc.
-    arena.ReserveEntries(total_entries * 2);
-    slot_row.resize(q);
-    for (size_t i = 0; i < q; ++i) slot_row[i] = arena.Append(inputs[i].cond);
-  } else {
-    slot_dcf = inputs;
+  size_t total_entries = 0;
+  for (const Dcf& in : inputs) total_entries += in.cond.SupportSize();
+  // Merged rows append behind the inputs; 2x covers the whole dendrogram
+  // in the common case without a mid-run realloc.
+  arena.ReserveEntries(total_entries * 2);
+  for (size_t i = 0; i < q; ++i) {
+    slot_p[i] = inputs[i].p;
+    slot_row[i] = arena.Append(inputs[i].cond);
   }
   // One δI kernel per lane: the static chunk->lane mapping means each
   // kernel sees the same rows on every run, so results stay bit-identical
@@ -115,19 +106,11 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   // by that pair alone, so the static partition is bit-deterministic.
   LIMBO_OBS_SPAN(build_span, "matrix_build");
   pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
-    if (batch) {
-      LossKernel& kernel = kernels[lane];
-      for (size_t i = lo; i < hi; ++i) {
-        kernel.SetObject(slot_p[i], arena.Row(slot_row[i]));
-        for (size_t j = i + 1; j < q; ++j) {
-          dist.Set(i, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
-        }
-      }
-    } else {
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = i + 1; j < q; ++j) {
-          dist.Set(i, j, InformationLoss(slot_dcf[i], slot_dcf[j]));
-        }
+    LossKernel& kernel = kernels[lane];
+    for (size_t i = lo; i < hi; ++i) {
+      kernel.SetObject(slot_p[i], arena.Row(slot_row[i]));
+      for (size_t j = i + 1; j < q; ++j) {
+        dist.Set(i, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
       }
     }
   });
@@ -178,21 +161,15 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
 
     const double delta = dist.Get(a, b);
     cumulative += delta;
-    // Merge per Eq. 1/2. The batch arm writes the merged conditional
-    // straight into arena scratch with the same per-entry arithmetic as
-    // MergeDcf/WeightedMerge.
+    // Merge per Eq. 1/2: the merged conditional goes straight into arena
+    // scratch with the same per-entry arithmetic as MergeDcf/WeightedMerge.
     double p_merged = slot_p[a] + slot_p[b];
-    if (batch) {
-      if (p_merged <= 0.0) {
-        p_merged = 0.0;
-        slot_row[a] = arena.Append(DistributionView{});
-      } else {
-        slot_row[a] = arena.AppendMerge(slot_p[a] / p_merged, slot_row[a],
-                                        slot_p[b] / p_merged, slot_row[b]);
-      }
+    if (p_merged <= 0.0) {
+      p_merged = 0.0;
+      slot_row[a] = arena.Append(DistributionView{});
     } else {
-      slot_dcf[a] = MergeDcf(slot_dcf[a], slot_dcf[b]);
-      p_merged = slot_dcf[a].p;
+      slot_row[a] = arena.AppendMerge(slot_p[a] / p_merged, slot_row[a],
+                                      slot_p[b] / p_merged, slot_row[b]);
     }
     slot_p[a] = p_merged;
     merges.push_back(Merge{slot_cluster_id[a], slot_cluster_id[b],
@@ -209,18 +186,11 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     // per-merge tag lets each lane scatter the merged row at most once.
     const uint64_t refresh_tag = next_cluster_id;
     pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
-      if (batch) {
-        LossKernel& kernel = kernels[lane];
-        kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
-        for (size_t j = lo; j < hi; ++j) {
-          if (!alive[j] || j == a) continue;
-          dist.Set(a, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
-        }
-      } else {
-        for (size_t j = lo; j < hi; ++j) {
-          if (!alive[j] || j == a) continue;
-          dist.Set(a, j, InformationLoss(slot_dcf[a], slot_dcf[j]));
-        }
+      LossKernel& kernel = kernels[lane];
+      kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
+      for (size_t j = lo; j < hi; ++j) {
+        if (!alive[j] || j == a) continue;
+        dist.Set(a, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
       }
     });
     stats.distance_evals += live - 1;

@@ -71,12 +71,6 @@ class AibResult {
 
 /// Options for AgglomerativeIb.
 struct AibOptions {
-  /// How δI evaluations are dispatched. Both produce bit-identical
-  /// results (the batch kernel *is* the per-pair kernel, scattered once
-  /// per row instead of once per pair); kPerPair survives as the
-  /// reference arm for the equivalence tests and the kernel benchmark.
-  enum class DistanceKernel { kBatch, kPerPair };
-
   /// Stop when this many clusters remain (1 = full dendrogram).
   size_t min_k = 1;
   /// Worker lanes for the distance-matrix build and per-merge row
@@ -84,10 +78,6 @@ struct AibOptions {
   /// (util::DefaultThreadCount), 1 = serial. Results are bit-identical
   /// for every value.
   size_t threads = 0;
-  /// Distance dispatch. kBatch keeps slot conditionals in a
-  /// DistributionArena and streams each matrix row / refresh through a
-  /// per-lane LossKernel.
-  DistanceKernel kernel = DistanceKernel::kBatch;
 };
 
 /// Agglomerative Information Bottleneck (Slonim & Tishby): greedily merges

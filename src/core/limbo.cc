@@ -1,7 +1,6 @@
 #include "core/limbo.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/info.h"
 #include "obs/counters.h"
@@ -53,77 +52,52 @@ std::vector<Dcf> LimboPhase1(const std::vector<Dcf>& objects,
 }
 
 Phase3Assigner::Phase3Assigner(const std::vector<Dcf>& representatives,
-                               size_t threads, bool batch_kernel)
-    : representatives_(&representatives),
-      batch_kernel_(batch_kernel),
-      pool_(threads),
-      kernels_(pool_.threads()) {
+                               size_t threads)
+    : pool_(threads), kernels_(pool_.threads()) {
   LIMBO_CHECK(!representatives.empty());
-  rep_p_.resize(representatives.size());
-  for (size_t r = 0; r < representatives.size(); ++r) {
-    rep_p_[r] = representatives[r].p;
-  }
-  if (batch_kernel_) {
-    // Representatives live as arena rows (contiguous, cached logs) for
-    // the whole sequence of chunks.
-    size_t total_entries = 0;
-    for (const Dcf& r : representatives) total_entries += r.cond.SupportSize();
-    arena_.ReserveEntries(total_entries);
-    rep_row_.resize(representatives.size());
-    for (size_t r = 0; r < representatives.size(); ++r) {
-      rep_row_[r] = arena_.Append(representatives[r].cond);
-    }
+  // Representatives live as arena rows (contiguous, cached logs) for the
+  // whole sequence of chunks.
+  size_t total_entries = 0;
+  for (const Dcf& r : representatives) total_entries += r.cond.SupportSize();
+  arena_.ReserveEntries(total_entries);
+  rep_p_.reserve(representatives.size());
+  rep_row_.reserve(representatives.size());
+  for (const Dcf& r : representatives) {
+    rep_p_.push_back(r.p);
+    rep_row_.push_back(arena_.Append(r.cond));
   }
 }
 
 void Phase3Assigner::AssignChunk(std::span<const Dcf> objects,
                                  uint32_t* labels, double* loss) {
-  const std::vector<Dcf>& representatives = *representatives_;
   LIMBO_OBS_COUNT("phase3.objects", objects.size());
   LIMBO_OBS_COUNT("phase3.distance_evals",
-                  static_cast<uint64_t>(objects.size()) *
-                      representatives.size());
+                  static_cast<uint64_t>(objects.size()) * rep_p_.size());
   // Each object's argmin is independent and writes only its own label /
   // loss cell, so the scan parallelizes with bit-identical results.
   pool_.ParallelFor(0, objects.size(), /*grain=*/64,
                     [&](size_t lo, size_t hi, size_t lane) {
     LossKernel& kernel = kernels_[lane];
     for (size_t i = lo; i < hi; ++i) {
-      if (batch_kernel_) {
-        const NearestCandidate nearest = FindNearestCandidate(
-            &kernel, objects[i].p, objects[i].cond, rep_p_, arena_, rep_row_);
-        labels[i] = nearest.index;
-        if (loss != nullptr) loss[i] = nearest.loss;
-      } else {
-        size_t best = 0;
-        double best_loss = std::numeric_limits<double>::infinity();
-        for (size_t r = 0; r < representatives.size(); ++r) {
-          const double d = InformationLoss(objects[i], representatives[r]);
-          if (d < best_loss) {
-            best_loss = d;
-            best = r;
-          }
-        }
-        labels[i] = static_cast<uint32_t>(best);
-        if (loss != nullptr) loss[i] = best_loss;
-      }
+      const NearestCandidate nearest = FindNearestCandidate(
+          &kernel, objects[i].p, objects[i].cond, rep_p_, arena_, rep_row_);
+      labels[i] = nearest.index;
+      if (loss != nullptr) loss[i] = nearest.loss;
     }
   });
 }
 
-void Phase3Assigner::Flush() {
-  if (batch_kernel_) FlushKernelStats(kernels_, "phase3.kernel");
-}
+void Phase3Assigner::Flush() { FlushKernelStats(kernels_, "phase3.kernel"); }
 
 util::Result<std::vector<uint32_t>> LimboPhase3(
     const std::vector<Dcf>& objects, const std::vector<Dcf>& representatives,
-    std::vector<double>* loss, size_t threads, bool batch_kernel) {
+    std::vector<double>* loss, size_t threads) {
   if (representatives.empty()) {
     return util::Status::InvalidArgument("Phase 3 needs >= 1 representative");
   }
   std::vector<uint32_t> labels(objects.size());
   if (loss != nullptr) loss->assign(objects.size(), 0.0);
-  Phase3Assigner assigner(representatives, threads, batch_kernel);
+  Phase3Assigner assigner(representatives, threads);
   assigner.AssignChunk(objects, labels.data(),
                        loss != nullptr ? loss->data() : nullptr);
   assigner.Flush();

@@ -147,9 +147,8 @@ class Phase1Builder {
 /// the per-lane kernel counters.
 class Phase3Assigner {
  public:
-  /// `representatives` must be non-empty and outlive the assigner.
-  Phase3Assigner(const std::vector<Dcf>& representatives, size_t threads,
-                 bool batch_kernel = true);
+  /// `representatives` must be non-empty.
+  Phase3Assigner(const std::vector<Dcf>& representatives, size_t threads);
 
   /// Labels objects[i] into labels[i] (and its δI into loss[i] when
   /// `loss` is non-null). The output arrays must hold objects.size()
@@ -162,8 +161,6 @@ class Phase3Assigner {
   void Flush();
 
  private:
-  const std::vector<Dcf>* representatives_;
-  bool batch_kernel_;
   DistributionArena arena_;
   std::vector<size_t> rep_row_;
   std::vector<double> rep_p_;
@@ -182,15 +179,10 @@ std::vector<Dcf> LimboPhase1(const std::vector<Dcf>& objects,
 /// information loss. Returns labels; per-object losses go to `loss` if
 /// non-null. Deterministic: ties pick the lowest representative index,
 /// and results are bit-identical for every `threads` value (0 = default
-/// lane count, 1 = serial). `batch_kernel` chooses between the arena
-/// batch scan (default; representatives in a DistributionArena, one
-/// LossKernel per lane) and per-pair InformationLoss — the two are
-/// bit-identical; the flag exists for the equivalence tests and the
-/// kernel benchmark. Thin adapter over Phase3Assigner.
+/// lane count, 1 = serial). Thin adapter over Phase3Assigner.
 util::Result<std::vector<uint32_t>> LimboPhase3(
     const std::vector<Dcf>& objects, const std::vector<Dcf>& representatives,
-    std::vector<double>* loss = nullptr, size_t threads = 0,
-    bool batch_kernel = true);
+    std::vector<double>* loss = nullptr, size_t threads = 0);
 
 /// Full pipeline over a rewindable object stream: two scans for I(V;T)
 /// (threshold φ·I/q), one Phase-1 insert scan (only the DCF tree

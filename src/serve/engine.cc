@@ -134,20 +134,11 @@ util::Result<core::Dcf> Engine::RowObject(
 util::Status Engine::AssignRow(const std::vector<std::string>& fields,
                                core::LossKernel* kernel, uint32_t* label,
                                double* loss, size_t* oov) const {
-  core::Dcf object;
-  {
-    util::Result<core::Dcf> r = RowObject(fields, oov);
-    if (!r.ok()) return r.status();
-    object = std::move(r).value();
-  }
-  // core::FindNearestCandidate is Phase3Assigner's inner loop: strict <
-  // keeps the lowest cluster index on ties, making the result a pure
-  // function of the pair set — identical at every worker count.
-  const core::NearestCandidate nearest = core::FindNearestCandidate(
-      kernel, object.p, object.cond, rep_p_, arena_, rep_row_);
-  *label = nearest.index;
-  *loss = nearest.loss;
-  return util::Status::Ok();
+  RowAssignment a = std::move(AssignBatch({&fields, 1}, kernel)[0]);
+  *label = a.label;
+  *loss = a.loss;
+  *oov = a.oov;
+  return a.status;
 }
 
 std::vector<RowAssignment> Engine::AssignBatch(
@@ -265,28 +256,6 @@ std::string Engine::FormatDuplicates(uint32_t label, double loss,
   AppendIntField("oov", oov, &out);
   out.push_back('}');
   return out;
-}
-
-util::Result<std::string> Engine::HandleAssign(const JsonValue& request,
-                                               core::LossKernel* kernel) const {
-  std::vector<std::string> fields;
-  LIMBO_RETURN_IF_ERROR(ParseRowArg(request, &fields));
-  uint32_t label = 0;
-  double loss = 0.0;
-  size_t oov = 0;
-  LIMBO_RETURN_IF_ERROR(AssignRow(fields, kernel, &label, &loss, &oov));
-  return FormatAssign(label, loss, oov);
-}
-
-util::Result<std::string> Engine::HandleDuplicates(
-    const JsonValue& request, core::LossKernel* kernel) const {
-  std::vector<std::string> fields;
-  LIMBO_RETURN_IF_ERROR(ParseRowArg(request, &fields));
-  uint32_t label = 0;
-  double loss = 0.0;
-  size_t oov = 0;
-  LIMBO_RETURN_IF_ERROR(AssignRow(fields, kernel, &label, &loss, &oov));
-  return FormatDuplicates(label, loss, oov);
 }
 
 util::Result<std::string> Engine::HandleValueGroup(
@@ -518,112 +487,100 @@ std::string Engine::HandleLine(const std::string& line,
     return ErrorResponse(
         util::Status::InvalidArgument("query must be a JSON object"));
   }
-  return HandleRequest(*request, kernel);
-}
-
-std::string Engine::HandleRequest(const JsonValue& request,
-                                  core::LossKernel* kernel) const {
-  util::Result<std::string> response = [&]() -> util::Result<std::string> {
-    const JsonValue* op = request.Find("op");
-    if (op == nullptr || op->kind != JsonValue::Kind::kString) {
-      return util::Status::InvalidArgument(
-          "query needs a string field \"op\"");
-    }
-    if (op->str == "assign") {
-      LIMBO_OBS_SPAN(span, "serve.assign");
-      LIMBO_OBS_COUNT("serve.query.assign", 1);
-      return HandleAssign(request, kernel);
-    }
-    if (op->str == "duplicates") {
-      LIMBO_OBS_SPAN(span, "serve.duplicates");
-      LIMBO_OBS_COUNT("serve.query.duplicates", 1);
-      return HandleDuplicates(request, kernel);
-    }
-    if (op->str == "valuegroup") {
-      LIMBO_OBS_SPAN(span, "serve.valuegroup");
-      LIMBO_OBS_COUNT("serve.query.valuegroup", 1);
-      return HandleValueGroup(request);
-    }
-    if (op->str == "attrs") {
-      LIMBO_OBS_SPAN(span, "serve.attrs");
-      LIMBO_OBS_COUNT("serve.query.attrs", 1);
-      return HandleAttrs();
-    }
-    if (op->str == "fds") {
-      LIMBO_OBS_SPAN(span, "serve.fds");
-      LIMBO_OBS_COUNT("serve.query.fds", 1);
-      return HandleFds(request);
-    }
-    if (op->str == "schemes") {
-      LIMBO_OBS_SPAN(span, "serve.schemes");
-      LIMBO_OBS_COUNT("serve.query.schemes", 1);
-      if (!bundle_.has_schemes) {
-        // A typed protocol error, not a transport failure: v1/v2 bundles
-        // (and fits without --schemes) simply have no section to serve.
-        LIMBO_OBS_COUNT("serve.query.errors", 1);
-        return ErrorResponse(
-            "no_schemes",
-            "bundle has no mined-schemes section; re-fit with --schemes");
-      }
-      return HandleSchemes(request);
-    }
-    if (op->str == "info") {
-      LIMBO_OBS_SPAN(span, "serve.info");
-      LIMBO_OBS_COUNT("serve.query.info", 1);
-      return HandleInfo();
-    }
-    return util::Status::InvalidArgument("unknown op \"" + op->str + "\"");
-  }();
-  if (response.ok()) return std::move(response).value();
-  LIMBO_OBS_COUNT("serve.query.errors", 1);
-  return ErrorResponse(response.status());
+  const JsonValue* one = &*request;
+  return std::move(HandleRequests({&one, 1}, kernel)[0]);
 }
 
 std::vector<std::string> Engine::HandleRequests(
     std::span<const JsonValue* const> requests,
     core::LossKernel* kernel) const {
   std::vector<std::string> responses(requests.size());
-  // Decode every assign/duplicates row up front; everything else — and
-  // any request whose row argument fails to decode — takes the
-  // single-request path, which produces the identical bytes for those
-  // shapes anyway.
-  struct BatchItem {
+  // assign/duplicates rows are decoded in this pass and evaluated together
+  // by one AssignBatch call below; every other op answers in place.
+  struct RowRequest {
     size_t index;
     bool duplicates;
   };
-  std::vector<BatchItem> items;
+  std::vector<RowRequest> row_requests;
   std::vector<std::vector<std::string>> rows;
   for (size_t i = 0; i < requests.size(); ++i) {
     const JsonValue& request = *requests[i];
-    const JsonValue* op = request.Find("op");
-    const bool batchable =
-        op != nullptr && op->kind == JsonValue::Kind::kString &&
-        (op->str == "assign" || op->str == "duplicates");
-    std::vector<std::string> fields;
-    if (!batchable || !ParseRowArg(request, &fields).ok()) {
-      responses[i] = HandleRequest(request, kernel);
-      continue;
+    util::Result<std::string> response = [&]() -> util::Result<std::string> {
+      const JsonValue* op = request.Find("op");
+      if (op == nullptr || op->kind != JsonValue::Kind::kString) {
+        return util::Status::InvalidArgument(
+            "query needs a string field \"op\"");
+      }
+      const bool duplicates = op->str == "duplicates";
+      if (op->str == "assign" || duplicates) {
+        if (duplicates) {
+          LIMBO_OBS_COUNT("serve.query.duplicates", 1);
+        } else {
+          LIMBO_OBS_COUNT("serve.query.assign", 1);
+        }
+        std::vector<std::string> fields;
+        LIMBO_RETURN_IF_ERROR(ParseRowArg(request, &fields));
+        row_requests.push_back({i, duplicates});
+        rows.push_back(std::move(fields));
+        return std::string();  // formatted after AssignBatch
+      }
+      if (op->str == "valuegroup") {
+        LIMBO_OBS_SPAN(span, "serve.valuegroup");
+        LIMBO_OBS_COUNT("serve.query.valuegroup", 1);
+        return HandleValueGroup(request);
+      }
+      if (op->str == "attrs") {
+        LIMBO_OBS_SPAN(span, "serve.attrs");
+        LIMBO_OBS_COUNT("serve.query.attrs", 1);
+        return HandleAttrs();
+      }
+      if (op->str == "fds") {
+        LIMBO_OBS_SPAN(span, "serve.fds");
+        LIMBO_OBS_COUNT("serve.query.fds", 1);
+        return HandleFds(request);
+      }
+      if (op->str == "schemes") {
+        LIMBO_OBS_SPAN(span, "serve.schemes");
+        LIMBO_OBS_COUNT("serve.query.schemes", 1);
+        if (!bundle_.has_schemes) {
+          // A typed protocol error, not a transport failure: v1/v2 bundles
+          // (and fits without --schemes) simply have no section to serve.
+          LIMBO_OBS_COUNT("serve.query.errors", 1);
+          return ErrorResponse(
+              "no_schemes",
+              "bundle has no mined-schemes section; re-fit with --schemes");
+        }
+        return HandleSchemes(request);
+      }
+      if (op->str == "info") {
+        LIMBO_OBS_SPAN(span, "serve.info");
+        LIMBO_OBS_COUNT("serve.query.info", 1);
+        return HandleInfo();
+      }
+      return util::Status::InvalidArgument("unknown op \"" + op->str + "\"");
+    }();
+    if (response.ok()) {
+      responses[i] = std::move(response).value();
+    } else {
+      LIMBO_OBS_COUNT("serve.query.errors", 1);
+      responses[i] = ErrorResponse(response.status());
     }
-    LIMBO_OBS_COUNT(
-        op->str == "assign" ? "serve.query.assign" : "serve.query.duplicates",
-        1);
-    items.push_back({i, op->str == "duplicates"});
-    rows.push_back(std::move(fields));
   }
-  if (items.empty()) return responses;
+  if (rows.empty()) return responses;
   LIMBO_OBS_SPAN(span, "serve.assign_batch");
-  LIMBO_OBS_COUNT("serve.batch.rows", items.size());
+  LIMBO_OBS_COUNT("serve.batch.rows", rows.size());
   const std::vector<RowAssignment> assigned = AssignBatch(rows, kernel);
-  for (size_t j = 0; j < items.size(); ++j) {
+  for (size_t j = 0; j < row_requests.size(); ++j) {
     const RowAssignment& a = assigned[j];
+    std::string& response = responses[row_requests[j].index];
     if (!a.status.ok()) {
       LIMBO_OBS_COUNT("serve.query.errors", 1);
-      responses[items[j].index] = ErrorResponse(a.status);
-      continue;
+      response = ErrorResponse(a.status);
+    } else if (row_requests[j].duplicates) {
+      response = FormatDuplicates(a.label, a.loss, a.oov);
+    } else {
+      response = FormatAssign(a.label, a.loss, a.oov);
     }
-    responses[items[j].index] = items[j].duplicates
-                                    ? FormatDuplicates(a.label, a.loss, a.oov)
-                                    : FormatAssign(a.label, a.loss, a.oov);
   }
   return responses;
 }

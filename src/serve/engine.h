@@ -39,12 +39,12 @@ struct RowAssignment {
 
 /// Stateless query engine over one frozen model bundle. The bundle is
 /// loaded once; every query after that touches only in-memory state, and
-/// all of it is read-only after construction — concurrent HandleLine
+/// all of it is read-only after construction — concurrent HandleRequests
 /// calls are safe as long as each caller passes its own LossKernel.
 ///
 /// Queries and responses are newline-delimited JSON (one object per
 /// line). Protocol errors come back as {"ok":false,...} responses, never
-/// as crashes — HandleLine itself cannot fail.
+/// as crashes — no query can fail the call itself.
 ///
 /// `assign` replicates Phase3Assigner bit for bit: the row object is
 /// p = 1/n uniform over its dictionary ids, the representatives live as
@@ -61,26 +61,20 @@ class Engine {
   static util::Result<Engine> FromBundle(model::ModelBundle bundle,
                                          const EngineOptions& options = {});
 
-  /// Answers one query line. `kernel` is the caller's scratch evaluator —
-  /// one per worker lane; the engine itself stays read-only.
+  /// Answers one query line: ParseJson, the object check, then
+  /// HandleRequests on a batch of one. `kernel` is the caller's scratch
+  /// evaluator — one per worker lane; the engine itself stays read-only.
   std::string HandleLine(const std::string& line,
                          core::LossKernel* kernel) const;
 
-  /// Answers one already-parsed query object — the registry's routed
-  /// path (it parses once to read the "model" field, then dispatches
-  /// here). HandleLine is ParseJson + this. Unknown fields, including
-  /// "model", are ignored.
-  std::string HandleRequest(const util::JsonValue& request,
-                            core::LossKernel* kernel) const;
-
-  /// Answers a batch of already-parsed query objects with one kernel,
-  /// returning one response per request, in order. `assign` and
-  /// `duplicates` requests across the whole batch are decoded first and
-  /// evaluated through a single AssignBatch call (the representative
-  /// slab stays cache-hot across rows); every other op dispatches
-  /// through HandleRequest. Responses are byte-identical to calling
-  /// HandleRequest on each request alone — batching is a scheduling
-  /// decision, never a semantic one.
+  /// The engine's evaluation entry: answers a batch of already-parsed
+  /// query objects with one kernel, returning one response per request,
+  /// in order. `assign` and `duplicates` rows across the whole batch are
+  /// decoded first and evaluated through a single AssignBatch call (the
+  /// representative slab stays cache-hot across rows); every other op
+  /// answers in place. Each row's arithmetic is independent of its batch
+  /// neighbours, so a request's response never depends on the batch it
+  /// rides in. Unknown fields, including "model", are ignored.
   std::vector<std::string> HandleRequests(
       std::span<const util::JsonValue* const> requests,
       core::LossKernel* kernel) const;
@@ -93,19 +87,18 @@ class Engine {
   const model::ModelBundle& bundle() const { return bundle_; }
 
   /// Assigns one decoded row (fields in schema order) to its nearest
-  /// representative. Exposed for the bit-identity tests and the serve
-  /// benchmark; HandleLine's "assign" op is a JSON wrapper over this.
-  /// `oov` receives the number of dropped values (kDrop only).
+  /// representative: AssignBatch on a batch of one, exposed for the
+  /// bit-identity tests and the serve benchmark. `oov` receives the
+  /// number of dropped values (kDrop only).
   util::Status AssignRow(const std::vector<std::string>& fields,
                          core::LossKernel* kernel, uint32_t* label,
                          double* loss, size_t* oov) const;
 
-  /// Assigns a batch of decoded rows with one kernel. Each row's
-  /// arithmetic is exactly AssignRow's — core::FindNearestCandidate over
-  /// the same arena rows — so labels and losses are bit-identical to N
-  /// AssignRow calls; the batch exists to amortize the representative
-  /// slab traversal (and, in the server, the queue rendezvous and socket
-  /// writes) across rows.
+  /// Assigns a batch of decoded rows with one kernel. Each row is
+  /// core::FindNearestCandidate over the frozen arena rows — Phase 3's
+  /// argmin — so its label and loss do not depend on the batch; the
+  /// batch exists to amortize the representative slab traversal (and, in
+  /// the server, the queue rendezvous and socket writes) across rows.
   std::vector<RowAssignment> AssignBatch(
       std::span<const std::vector<std::string>> rows,
       core::LossKernel* kernel) const;
@@ -118,10 +111,6 @@ class Engine {
   util::Status ParseRowArg(const util::JsonValue& request,
                            std::vector<std::string>* fields) const;
 
-  util::Result<std::string> HandleAssign(const util::JsonValue& request,
-                                         core::LossKernel* kernel) const;
-  util::Result<std::string> HandleDuplicates(const util::JsonValue& request,
-                                             core::LossKernel* kernel) const;
   std::string FormatAssign(uint32_t label, double loss, size_t oov) const;
   std::string FormatDuplicates(uint32_t label, double loss,
                                size_t oov) const;

@@ -271,46 +271,7 @@ std::string Registry::HandleModels() const {
 
 std::string Registry::HandleLine(const std::string& line,
                                  core::LossKernel* kernel) {
-  util::Result<JsonValue> request = util::ParseJson(line);
-  if (!request.ok()) {
-    LIMBO_OBS_COUNT("serve.query.errors", 1);
-    return ErrorResponse(request.status());
-  }
-  if (request->kind != JsonValue::Kind::kObject) {
-    LIMBO_OBS_COUNT("serve.query.errors", 1);
-    return ErrorResponse(
-        util::Status::InvalidArgument("query must be a JSON object"));
-  }
-  const JsonValue* op = request->Find("op");
-  if (op == nullptr || op->kind != JsonValue::Kind::kString) {
-    LIMBO_OBS_COUNT("serve.query.errors", 1);
-    return ErrorResponse(
-        util::Status::InvalidArgument("query needs a string field \"op\""));
-  }
-  // Admin ops live above any single engine.
-  if (op->str == "reload") {
-    LIMBO_OBS_COUNT("serve.query.reload", 1);
-    return HandleReload(*request);
-  }
-  if (op->str == "models") {
-    LIMBO_OBS_COUNT("serve.query.models", 1);
-    return HandleModels();
-  }
-  std::string cache_key;
-  std::string error;
-  std::shared_ptr<const Engine> engine = Route(*request, &cache_key, &error);
-  if (engine == nullptr) return error;
-  if (cache_ != nullptr) {
-    std::string cached;
-    if (cache_->Lookup(cache_key, &cached)) {
-      LIMBO_OBS_COUNT("serve.cache.hits", 1);
-      return cached;
-    }
-    LIMBO_OBS_COUNT("serve.cache.misses", 1);
-  }
-  std::string response = engine->HandleRequest(*request, kernel);
-  if (cache_ != nullptr) cache_->Insert(cache_key, response);
-  return response;
+  return std::move(HandleBatch({&line, 1}, kernel)[0]);
 }
 
 std::shared_ptr<const Engine> Registry::Snapshot(const std::string& name,

@@ -46,10 +46,10 @@ struct ModelInfo {
 /// the entry's version does not change — a half-loaded model is never
 /// observable.
 ///
-/// HandleLine is the full protocol entry point the TCP server and the
-/// --once driver use: it parses the query once, routes by the optional
-/// "model" field (the default model when omitted), and implements the
-/// admin ops "reload" and "models" that exist above any single engine.
+/// HandleBatch is the full protocol entry point: it parses each query
+/// once, routes it by the optional "model" field (the default model when
+/// omitted), and implements the admin ops "reload" and "models" that
+/// exist above any single engine.
 class Registry {
  public:
   /// `cache_entries` > 0 enables the bounded LRU response cache: routed
@@ -89,17 +89,16 @@ class Registry {
   /// returned (prefixed with the model name).
   util::Status ReloadAll();
 
-  /// Answers one query line: parse, route by "model", dispatch admin
-  /// ops. Never fails — protocol errors come back as {"ok":false,...}.
+  /// Answers one query line: HandleBatch on a batch of one.
   std::string HandleLine(const std::string& line, core::LossKernel* kernel);
 
   /// Answers a batch of query lines with one kernel, returning one
-  /// response per line, in order. Per-engine sub-batches dispatch
-  /// through Engine::HandleRequests so assign/duplicates rows share one
+  /// response per line, in order. Never fails — protocol errors come
+  /// back as {"ok":false,...}. Per-engine sub-batches dispatch through
+  /// Engine::HandleRequests so assign/duplicates rows share one
   /// AssignBatch scan; admin ops execute inline at their position in
   /// the batch (a "reload" mid-batch affects which engine later lines
-  /// snapshot, exactly as it would between two HandleLine calls).
-  /// Responses are byte-identical to calling HandleLine on each line.
+  /// snapshot, exactly as it would between two single-line batches).
   std::vector<std::string> HandleBatch(std::span<const std::string> lines,
                                        core::LossKernel* kernel);
 
@@ -131,10 +130,10 @@ class Registry {
                                          std::string* resolved,
                                          uint64_t* version);
 
-  /// The routing step shared by HandleLine and HandleBatch: validates
-  /// the parsed request's "model" field and snapshots the target engine
-  /// (null plus an error response in `*error` when routing fails). When
-  /// the cache is enabled, also builds the request's cache key.
+  /// HandleBatch's routing step: validates the parsed request's "model"
+  /// field and snapshots the target engine (null plus an error response
+  /// in `*error` when routing fails). When the cache is enabled, also
+  /// builds the request's cache key.
   std::shared_ptr<const Engine> Route(const util::JsonValue& request,
                                       std::string* cache_key,
                                       std::string* error);

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -124,6 +125,10 @@ void Server::AcceptOne() {
     Shed(fd);
     return;
   }
+  // Responses already leave as one send per connection per batch, so
+  // Nagle would only hold each one back until the peer's delayed ACK.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   connections_.fetch_add(1, std::memory_order_relaxed);
   LIMBO_OBS_COUNT("serve.connections", 1);
   auto conn = std::make_unique<Conn>();
@@ -177,11 +182,21 @@ void Server::ReadConn(Conn* conn) {
     conn->inbuf.append(buffer, static_cast<size_t>(n));
     size_t start = 0;
     size_t newline;
-    while ((newline = conn->inbuf.find('\n', start)) != std::string::npos) {
+    while ((newline = conn->inbuf.find('\n', start)) != std::string::npos &&
+           newline - start <= kMaxLineBytes) {
       framed.push_back(conn->inbuf.substr(start, newline - start));
       start = newline + 1;
     }
     conn->inbuf.erase(0, start);
+    if (conn->inbuf.size() > kMaxLineBytes) {
+      // An over-long line, finished or not: the lines before it are still
+      // answered, then CollectFinished sends line_too_long and closes.
+      // Nothing more is read, so the buffer stops growing here.
+      conn->inbuf.clear();
+      conn->inbuf.shrink_to_fit();
+      conn->line_too_long = true;
+      eof = true;
+    }
   }
   if (eof || !framed.empty()) EnqueueLines(conn, std::move(framed), eof);
 }
@@ -203,7 +218,22 @@ void Server::CollectFinished() {
   }
   // Closing outside the lock: the fd cannot be recycled into a stale
   // pollfd because only this thread accepts, after this call returns.
-  for (const std::unique_ptr<Conn>& c : finished) ::close(c->fd);
+  // Every earlier response of the connection is out by now. The error
+  // send is best-effort and non-blocking: a peer that stopped reading
+  // must not stall the reactor.
+  for (const std::unique_ptr<Conn>& c : finished) {
+    if (c->line_too_long) {
+      const std::string response =
+          ErrorResponse("line_too_long",
+                        "request line exceeds " +
+                            std::to_string(kMaxLineBytes) +
+                            " bytes; closing connection") +
+          "\n";
+      (void)::send(c->fd, response.data(), response.size(),
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+    }
+    ::close(c->fd);
+  }
 }
 
 void Server::Run(const std::atomic<int>* stop, std::atomic<int>* reload) {

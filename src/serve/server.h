@@ -55,9 +55,8 @@ struct ServerOptions {
 /// with requests in flight is claimed by exactly one worker until those
 /// responses are written, so per-connection response order always
 /// matches request order, while requests from different connections
-/// share batches freely. Batching never changes bytes: HandleBatch is
-/// byte-identical to per-line HandleLine at every batch size and worker
-/// count.
+/// share batches freely. Batching never changes bytes: a request's
+/// response is the same at every batch size and worker count.
 ///
 /// The socket path is hardened for real clients:
 ///  - every send uses MSG_NOSIGNAL, so a peer closing mid-response
@@ -65,13 +64,20 @@ struct ServerOptions {
 ///  - recv/send/accept/poll retry on EINTR, so signals (e.g. SIGHUP for
 ///    hot reload) never spuriously drop a connection;
 ///  - a final query sent without a trailing newline before the peer
-///    shuts down its write side is still answered, matching --once.
+///    shuts down its write side is still answered, matching --once;
+///  - a request line longer than kMaxLineBytes is never buffered past
+///    the cap: the requests before it are answered in order, then the
+///    connection gets one {"ok":false,"code":"line_too_long",...} and is
+///    closed.
 ///
 /// Hot reload happens through the registry ({"op":"reload"} or the
 /// reload flag passed to Run): queries in flight finish on the engine
 /// snapshot they grabbed; new queries see the new engine.
 class Server {
  public:
+  /// Longest request line (without its '\n') a connection may send.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   /// Binds 127.0.0.1:port, starts listening and spawns the worker
   /// lanes. The listener is live when Start returns (port() is
   /// resolved); call Run to start accepting.
@@ -124,6 +130,7 @@ class Server {
     bool dead = false;               // transport error; discard & close
     bool claimed = false;            // a worker owns its queued lines
     bool ready = false;              // sitting in ready_
+    bool line_too_long = false;      // reactor-only: error, then close
   };
 
   Server(Registry* registry, const ServerOptions& options);

@@ -54,9 +54,16 @@ class JsonParser {
     if (p_ == end_) return Fail("unexpected end of input");
     switch (*p_) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                      " levels");
+        }
+        ++depth_;
+        util::Status s = *p_ == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return s;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->str);
@@ -207,6 +214,7 @@ class JsonParser {
   const char* p_;
   const char* end_;
   size_t offset_ = 0;
+  size_t depth_ = 0;  // arrays/objects open around the current value
 };
 
 }  // namespace

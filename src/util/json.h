@@ -1,6 +1,7 @@
 #ifndef LIMBO_UTIL_JSON_H_
 #define LIMBO_UTIL_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -42,8 +43,15 @@ struct JsonValue {
   }
 };
 
+/// Deepest array/object nesting ParseJson accepts. The parser and
+/// JsonValue's destructor both recurse once per level, so the cap bounds
+/// their stack use whatever an untrusted line holds; real documents (run
+/// reports, serve queries) nest a handful of levels.
+inline constexpr size_t kMaxJsonDepth = 256;
+
 /// Parses one complete JSON document. Trailing non-whitespace after the
-/// value is an error (NDJSON framing splits lines before parsing).
+/// value is an error (NDJSON framing splits lines before parsing), and so
+/// is nesting deeper than kMaxJsonDepth (InvalidArgument).
 util::Result<JsonValue> ParseJson(const std::string& text);
 
 /// Appends `s` as a quoted JSON string literal (with escaping) to `out`.

@@ -1,5 +1,5 @@
 // Tests for the arena-backed distance kernel layer: DistributionArena,
-// LossKernel, the batch/per-pair bit-identity contract, the asymmetric
+// LossKernel, bit-identity against the per-pair reference, the asymmetric
 // JsDivergence path at its cutoff boundary, and the galloping-lookup
 // complexity bound.
 
@@ -13,6 +13,7 @@
 #include "core/dcf.h"
 #include "core/limbo.h"
 #include "core/prob.h"
+#include "reference/per_pair.h"
 
 namespace limbo::core {
 namespace {
@@ -293,7 +294,8 @@ TEST(JsDivergenceGallopTest, SmallIntoHugeStaysLogarithmic) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end equivalence: batch kernel vs per-pair dispatch (satellite f)
+// End-to-end equivalence: the production batch kernel vs the per-pair
+// reference formulation (tests/reference/per_pair.h)
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
@@ -313,19 +315,15 @@ std::vector<Dcf> MixedInputs() {
 
 TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdentical) {
   const std::vector<Dcf> inputs = MixedInputs();
-  AibOptions batch_options;
-  batch_options.threads = GetParam();
-  batch_options.kernel = AibOptions::DistanceKernel::kBatch;
-  AibOptions pair_options = batch_options;
-  pair_options.kernel = AibOptions::DistanceKernel::kPerPair;
-  auto batch = AgglomerativeIb(inputs, batch_options);
-  auto pair = AgglomerativeIb(inputs, pair_options);
+  AibOptions options;
+  options.threads = GetParam();
+  auto batch = AgglomerativeIb(inputs, options);
   ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(pair.ok());
-  ASSERT_EQ(batch->merges().size(), pair->merges().size());
-  for (size_t i = 0; i < batch->merges().size(); ++i) {
+  const std::vector<Merge> pair = reference::AibMerges(inputs, 1);
+  ASSERT_EQ(batch->merges().size(), pair.size());
+  for (size_t i = 0; i < pair.size(); ++i) {
     const Merge& mb = batch->merges()[i];
-    const Merge& mp = pair->merges()[i];
+    const Merge& mp = pair[i];
     EXPECT_EQ(mb.left, mp.left) << i;
     EXPECT_EQ(mb.right, mp.right) << i;
     EXPECT_EQ(mb.merged, mp.merged) << i;
@@ -342,17 +340,14 @@ TEST_P(KernelEquivalenceTest, Phase3AssignmentsAndLossesBitIdentical) {
   auto reps = ClusterDcfsAtK(objects, *aib, 5);
   ASSERT_TRUE(reps.ok());
   std::vector<double> batch_loss;
-  std::vector<double> pair_loss;
-  auto batch = LimboPhase3(objects, *reps, &batch_loss, GetParam(),
-                           /*batch_kernel=*/true);
-  auto pair = LimboPhase3(objects, *reps, &pair_loss, GetParam(),
-                          /*batch_kernel=*/false);
+  auto batch = LimboPhase3(objects, *reps, &batch_loss, GetParam());
   ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(pair.ok());
-  EXPECT_EQ(*batch, *pair);
-  ASSERT_EQ(batch_loss.size(), pair_loss.size());
+  const reference::Assignment pair =
+      reference::AssignToNearest(objects, *reps);
+  EXPECT_EQ(*batch, pair.labels);
+  ASSERT_EQ(batch_loss.size(), pair.losses.size());
   for (size_t i = 0; i < batch_loss.size(); ++i) {
-    EXPECT_EQ(batch_loss[i], pair_loss[i]) << i;
+    EXPECT_EQ(batch_loss[i], pair.losses[i]) << i;
   }
 }
 

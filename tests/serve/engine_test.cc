@@ -367,8 +367,9 @@ TEST(EngineTest, InfoEchoesTheFitParameters) {
 
 // The batching contract: evaluating N rows through one AssignBatch call
 // yields bit-identical labels, losses and OOV counts to N AssignRow
-// calls — including rows that fail (OOV under strict, all-unseen), whose
-// statuses must match without poisoning their neighbours.
+// calls (batches of one) — including rows that fail (OOV under strict,
+// all-unseen), whose statuses must match without poisoning their
+// neighbours.
 TEST(EngineTest, AssignBatchIsBitIdenticalToAssignRow) {
   Engine engine = TestEngine();
   std::vector<std::vector<std::string>> rows = TestRows();
@@ -401,9 +402,10 @@ TEST(EngineTest, AssignBatchIsBitIdenticalToAssignRow) {
   }
 }
 
-// HandleRequests (the batched dispatch behind Registry::HandleBatch)
-// must answer every request — batchable assign/duplicates, admin ops,
-// protocol errors — with exactly the bytes the per-line path produces.
+// HandleRequests (the engine's only dispatch, behind Registry::HandleBatch)
+// must answer every request in a mixed batch — assign/duplicates rows,
+// other ops, protocol errors — with exactly the bytes the same request
+// gets alone (HandleLine, a batch of one).
 TEST(EngineTest, HandleRequestsMatchesPerLineResponses) {
   Engine engine = TestEngine();
   std::vector<std::string> queries;

@@ -5,11 +5,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/prob.h"
+#include "datagen/db2_sample.h"
 #include "gtest/gtest.h"
 #include "model/fit.h"
 #include "model/model_bundle.h"
@@ -497,6 +500,391 @@ TEST_F(RegistryTest, ReloadOfUnknownModelFails) {
       "{\"op\":\"reload\",\"model\":\"missing\"}", &kernel));
   EXPECT_FALSE(ResponseOk(response));
   EXPECT_EQ(ErrorCode(response), "NotFound");
+}
+
+// ---------------------------------------------------------------------------
+// Golden responses: the exact bytes of every op and every error shape on
+// the DB2 join sample, recorded while single lines and batches still had
+// separate dispatch code. They pin the wire format itself, so a change
+// to the one remaining path cannot drift from what clients already parse.
+
+/// The DB2 sample fitted single-lane, once with mined schemes ("db2",
+/// k=5) and once without ("plain", k=3), saved once for the suite.
+class GoldenTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    auto rel = datagen::Db2Sample::JoinedRelation();
+    ASSERT_TRUE(rel.ok());
+    model::FitOptions options;
+    options.threads = 1;
+    options.k = 5;
+    options.mine_schemes = true;
+    db2_path_ = FitAndSave(*rel, options, "db2");
+    options.k = 3;
+    options.mine_schemes = false;
+    plain_path_ = FitAndSave(*rel, options, "plain");
+  }
+
+  static void TearDownTestSuite() {
+    ::unlink(db2_path_.c_str());
+    ::unlink(plain_path_.c_str());
+  }
+
+  static std::string FitAndSave(const relation::Relation& rel,
+                                const model::FitOptions& options,
+                                const std::string& tag) {
+    auto bundle = model::FitModel(rel, options);
+    EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
+    const std::string path = testing::TempDir() + "golden_" + tag + "_" +
+                             std::to_string(getpid()) + ".limbo";
+    EXPECT_TRUE(model::Save(*bundle, path).ok());
+    return path;
+  }
+
+  /// A registry serving "db2" (the default) and "plain".
+  static std::unique_ptr<Registry> MakeRegistry(EngineOptions options = {}) {
+    auto registry = std::make_unique<Registry>(options);
+    EXPECT_TRUE(registry->AddModel("db2", db2_path_).ok());
+    EXPECT_TRUE(registry->AddModel("plain", plain_path_).ok());
+    return registry;
+  }
+
+  /// The bundle paths vary per run; goldens spell them <db2> / <plain>.
+  static std::string Normalize(std::string response) {
+    for (const auto& [path, name] :
+         {std::pair{db2_path_, "<db2>"}, std::pair{plain_path_, "<plain>"}}) {
+      for (size_t at = response.find(path); at != std::string::npos;
+           at = response.find(path, at)) {
+        response.replace(at, path.size(), name);
+      }
+    }
+    return response;
+  }
+
+  /// Answers `lines` one HandleLine at a time and as one HandleBatch, each
+  /// on a fresh registry, and checks both against `want` byte for byte.
+  static void ExpectGoldens(const std::vector<std::string>& lines,
+                            const std::vector<std::string>& want,
+                            EngineOptions options = {}) {
+    ASSERT_EQ(lines.size(), want.size());
+    core::LossKernel kernel;
+    std::unique_ptr<Registry> by_line = MakeRegistry(options);
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(Normalize(by_line->HandleLine(lines[i], &kernel)), want[i])
+          << lines[i];
+    }
+    const std::vector<std::string> batch =
+        MakeRegistry(options)->HandleBatch(lines, &kernel);
+    ASSERT_EQ(batch.size(), want.size());
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(Normalize(batch[i]), want[i]) << lines[i];
+    }
+  }
+
+  static std::string db2_path_;
+  static std::string plain_path_;
+};
+
+std::string GoldenTest::db2_path_;
+std::string GoldenTest::plain_path_;
+
+// Row 0 of the DB2 join, as a JSON string array and as one CSV record.
+#define DB2_ROW0_FIELDS                                                     \
+  R"("E001","Toni","Lucchesi","555-1000","1981","CLERK","13","F","1956",)" \
+  R"("D01","SPIFFY_COMPUTER","M001","A01","P001","PROJECT_A1","E001",)"    \
+  R"("1982-01-01","1986-06-01","P001")"
+#define DB2_ROW0_CSV                                                      \
+  "E001,Toni,Lucchesi,555-1000,1981,CLERK,13,F,1956,D01,SPIFFY_COMPUTER," \
+  "M001,A01,P001,PROJECT_A1,E001,1982-01-01,1986-06-01,P001"
+
+const std::vector<std::string>& OpLines() {
+  static const std::vector<std::string> lines = {
+      R"({"op":"assign","row":[)" DB2_ROW0_FIELDS "]}",
+      R"({"op":"assign","csv":")" DB2_ROW0_CSV R"("})",
+      R"({"op":"assign","model":"plain","row":[)" DB2_ROW0_FIELDS "]}",
+      R"({"op":"assign","row":["E001","Toni","Lucchesi","555-1000","1981",)"
+      R"("CLERK","13","F","1956","D01","SPIFFY_COMPUTER","M001","A01",)"
+      R"("P999","PROJECT_Z","E001","1982-01-01","1986-06-01","P001"]})",
+      R"({"op":"duplicates","row":[)" DB2_ROW0_FIELDS "]}",
+      R"({"op":"duplicates","model":"plain","csv":")" DB2_ROW0_CSV R"("})",
+      R"({"op":"valuegroup","attr":"DeptNo","value":"D01"})",
+      R"({"op":"valuegroup","attr":"Sex","value":"F"})",
+      R"({"op":"assign","csv":"E015,Jo,Stern,555-1098,1980,SALESREP,16,M,)"
+      R"(1953,D02,PLANNING,M002,A01,P006,PROJECT_B1,E016,1983-02-01,)"
+      R"(1984-12-15,P006"})",
+      R"({"op":"duplicates","row":["E027","Alex","Geyer","555-1182","1982",)"
+      R"("ANALYST","12","M","1952","D06","OPERATIONS","M006","A02","P015",)"
+      R"("PROJECT_F2","E028","1984-06-15","1984-05-01","P014"]})",
+      R"({"op":"attrs"})",
+      R"({"op":"fds","limit":3})",
+      R"({"op":"fds","limit":0})",
+      R"({"op":"schemes","limit":2})",
+      R"({"op":"info"})",
+      R"({"op":"info","model":"plain"})",
+      R"({"op":"models"})",
+      R"({"op":"reload","model":"plain"})",
+      R"({"op":"models"})",
+  };
+  return lines;
+}
+
+const std::vector<std::string>& ErrorLines() {
+  static const std::vector<std::string> lines = {
+      "not json at all",
+      R"({"op":"info")",
+      "[1,2,3]",
+      "42",
+      R"({"model":"db2"})",
+      R"({"op":7})",
+      R"({"op":"frobnicate"})",
+      R"({"op":"info","model":7})",
+      R"({"op":"info","model":"missing"})",
+      R"({"op":"reload","model":"missing"})",
+      R"({"op":"assign"})",
+      R"({"op":"assign","row":[)" DB2_ROW0_FIELDS R"(],"csv":"a,b"})",
+      R"({"op":"assign","row":"E001"})",
+      R"({"op":"duplicates","row":["E001",7]})",
+      R"({"op":"assign","csv":7})",
+      R"({"op":"assign","csv":"a,b\nc,d\n"})",
+      R"({"op":"assign","csv":"\"open"})",
+      R"({"op":"assign","row":["E001","Toni"]})",
+      R"({"op":"duplicates","row":["z","z","z","z","z","z","z","z","z","z",)"
+      R"("z","z","z","z","z","z","z","z","z"]})",
+      R"({"op":"valuegroup","attr":"DeptNo"})",
+      R"({"op":"valuegroup","attr":"Nope","value":"D01"})",
+      R"({"op":"valuegroup","attr":"DeptNo","value":"D99"})",
+      R"({"op":"schemes","model":"plain"})",
+      R"({"op":"fds","limit":-1})",
+      R"({"op":"fds","limit":2.5})",
+      R"({"op":"schemes","limit":-3})",
+      R"({"op":"schemes","limit":1.5})",
+      R"({"op":"fds","limit":"3"})",
+  };
+  return lines;
+}
+
+const std::vector<std::string>& StrictLines() {
+  static const std::vector<std::string> lines = {
+      R"({"op":"assign","row":[)" DB2_ROW0_FIELDS "]}",
+      R"({"op":"assign","row":["E001","Toni","Lucchesi","555-1000","1981",)"
+      R"("CLERK","13","F","1956","D01","SPIFFY_COMPUTER","M001","A01",)"
+      R"("P999","PROJECT_Z","E001","1982-01-01","1986-06-01","P001"]})",
+      R"({"op":"duplicates","csv":"E001,Toni,Lucchesi,555-1000,1981,CLERK,)"
+      R"(13,F,1956,D01,SPIFFY_COMPUTER,M001,A01,P001,PROJECT_A1,E001,)"
+      R"(1982-01-01,1986-06-01,P404"})",
+      R"({"op":"info"})",
+  };
+  return lines;
+}
+
+const std::vector<std::string>& OpResponses() {
+  static const std::vector<std::string> responses = {
+      R"json({"ok":true,"cluster":0,"loss":0.012931239397050119,"oov":0})json",
+      R"json({"ok":true,"cluster":0,"loss":0.012931239397050119,"oov":0})json",
+      R"json({"ok":true,"cluster":0,"loss":0.016250233892590542,"oov":0})json",
+      R"json({"ok":true,"cluster":0,"loss":0.013245409662014271,"oov":2})json",
+      R"json({"ok":true,"duplicate":false,"cluster":0,"loss":0.0129312393)json"
+      R"json(97050119,"limit":0.0059052371432644349,"heavy":true,"oov":0})json",
+      R"json({"ok":true,"duplicate":false,"cluster":0,"loss":0.0162502338)json"
+      R"json(92590542,"limit":0.0059052371432644349,"heavy":true,"oov":0})json",
+      R"json({"ok":true,"value":"DeptNo=D01","support":50,"group":87,"is_)json"
+      R"json(duplicate":true,"members":["DeptNo=D01","DeptName=SPIFFY_COM)json"
+      R"json(PUTER","MgrNo=M001","MajorProjNo=P001"]})json",
+      R"json({"ok":true,"value":"Sex=F","support":52,"group":93,"is_dupli)json"
+      R"json(cate":false,"members":["Sex=F"]})json",
+      R"json({"ok":true,"cluster":4,"loss":0.0093377004882469628,"oov":0})json",
+      R"json({"ok":true,"duplicate":false,"cluster":2,"loss":0.0177901658)json"
+      R"json(31606697,"limit":0.0059052371432644349,"heavy":true,"oov":0})json",
+      R"json({"ok":true,"attributes":["EmpNo","FirstName","LastName","Pho)json"
+      R"json(neNo","HireYear","Job","EduLevel","Sex","BirthYear","DeptNo")json"
+      R"json(,"DeptName","MgrNo","AdminDepNo","ProjNo","ProjName","RespEm)json"
+      R"json(pNo","StartDate","EndDate","MajorProjNo"],"has_grouping":tru)json"
+      R"json(e,"grouping":{"attributes":["EmpNo","FirstName","LastName",")json"
+      R"json(PhoneNo","HireYear","Job","EduLevel","BirthYear","DeptNo","D)json"
+      R"json(eptName","MgrNo","ProjNo","ProjName","RespEmpNo","StartDate")json"
+      R"json(,"EndDate","MajorProjNo"],"max_merge_loss":0.920590324947173)json"
+      R"json(74,"merges":[{"left":0,"right":3,"merged":17,"loss":0.0},{"l)json"
+      R"json(eft":8,"right":9,"merged":18,"loss":0.0},{"left":10,"right":)json"
+      R"json(16,"merged":19,"loss":0.0},{"left":11,"right":12,"merged":20)json"
+      R"json(,"loss":0.0},{"left":18,"right":19,"merged":21,"loss":0.0},{)json"
+      R"json("left":6,"right":7,"merged":22,"loss":0.010447722291700766},)json"
+      R"json({"left":4,"right":5,"merged":23,"loss":0.029217704449161656})json"
+      R"json(,{"left":13,"right":15,"merged":24,"loss":0.0465665414121598)json"
+      R"json(09},{"left":1,"right":2,"merged":25,"loss":0.074588403578481)json"
+      R"json(663},{"left":14,"right":24,"merged":26,"loss":0.100698934445)json"
+      R"json(68552},{"left":23,"right":25,"merged":27,"loss":0.1841162496)json"
+      R"json(0862932},{"left":20,"right":26,"merged":28,"loss":0.23204660)json"
+      R"json(07493604},{"left":17,"right":22,"merged":29,"loss":0.2352941)json"
+      R"json(1764705888},{"left":21,"right":28,"merged":30,"loss":0.35364)json"
+      R"json(709113550313},{"left":27,"right":29,"merged":31,"loss":0.470)json"
+      R"json(58823529411764},{"left":30,"right":31,"merged":32,"loss":0.9)json"
+      R"json(2059032494717374}],"clusters":[["EmpNo"],["FirstName"],["Las)json"
+      R"json(tName"],["PhoneNo"],["HireYear"],["Job"],["EduLevel"],["Birt)json"
+      R"json(hYear"],["DeptNo"],["DeptName"],["MgrNo"],["ProjNo"],["ProjN)json"
+      R"json(ame"],["RespEmpNo"],["StartDate"],["EndDate"],["MajorProjNo")json"
+      R"json(],["EmpNo","PhoneNo"],["DeptNo","DeptName"],["MgrNo","MajorP)json"
+      R"json(rojNo"],["ProjNo","ProjName"],["DeptNo","DeptName","MgrNo",")json"
+      R"json(MajorProjNo"],["EduLevel","BirthYear"],["HireYear","Job"],[")json"
+      R"json(RespEmpNo","EndDate"],["FirstName","LastName"],["RespEmpNo",)json"
+      R"json("StartDate","EndDate"],["FirstName","LastName","HireYear","J)json"
+      R"json(ob"],["ProjNo","ProjName","RespEmpNo","StartDate","EndDate"])json"
+      R"json(,["EmpNo","PhoneNo","EduLevel","BirthYear"],["DeptNo","DeptN)json"
+      R"json(ame","MgrNo","ProjNo","ProjName","RespEmpNo","StartDate","En)json"
+      R"json(dDate","MajorProjNo"],["EmpNo","FirstName","LastName","Phone)json"
+      R"json(No","HireYear","Job","EduLevel","BirthYear"],["EmpNo","First)json"
+      R"json(Name","LastName","PhoneNo","HireYear","Job","EduLevel","Birt)json"
+      R"json(hYear","DeptNo","DeptName","MgrNo","ProjNo","ProjName","Resp)json"
+      R"json(EmpNo","StartDate","EndDate","MajorProjNo"]]}})json",
+      R"json({"ok":true,"total_mined":718,"ranked":66,"fds":[{"lhs":["Maj)json"
+      R"json(orProjNo"],"rhs":["DeptNo","DeptName","MgrNo"],"rank":0.0,"a)json"
+      R"json(nchored":true},{"lhs":["EmpNo"],"rhs":["PhoneNo"],"rank":0.0)json"
+      R"json(,"anchored":true},{"lhs":["PhoneNo"],"rhs":["EmpNo"],"rank":)json"
+      R"json(0.0,"anchored":true}]})json",
+      R"json({"ok":true,"total_mined":718,"ranked":66,"fds":[]})json",
+      R"json({"ok":true,"epsilon":0.050000000000000003,"max_separator":2,)json"
+      R"json("total_entropy":6.4918530963296748,"count":16,"schemes":[{"s)json"
+      R"json(eparator":["EmpNo"],"bags":[["EmpNo","FirstName"],["EmpNo",")json"
+      R"json(LastName"],["EmpNo","PhoneNo"],["EmpNo","HireYear"],["EmpNo")json"
+      R"json(,"Job"],["EmpNo","EduLevel"],["EmpNo","Sex"],["EmpNo","Birth)json"
+      R"json(Year"],["EmpNo","DeptNo"],["EmpNo","DeptName"],["EmpNo","Mgr)json"
+      R"json(No"],["EmpNo","AdminDepNo"],["EmpNo","ProjNo","ProjName","Re)json"
+      R"json(spEmpNo","StartDate","EndDate"],["EmpNo","MajorProjNo"]],"j_)json"
+      R"json(measure":0.0},{"separator":["EmpNo","FirstName"],"bags":[["E)json"
+      R"json(mpNo","FirstName","LastName"],["EmpNo","FirstName","PhoneNo")json"
+      R"json(],["EmpNo","FirstName","HireYear"],["EmpNo","FirstName","Job)json"
+      R"json("],["EmpNo","FirstName","EduLevel"],["EmpNo","FirstName","Se)json"
+      R"json(x"],["EmpNo","FirstName","BirthYear"],["EmpNo","FirstName",")json"
+      R"json(DeptNo"],["EmpNo","FirstName","DeptName"],["EmpNo","FirstNam)json"
+      R"json(e","MgrNo"],["EmpNo","FirstName","AdminDepNo"],["EmpNo","Fir)json"
+      R"json(stName","ProjNo","ProjName","RespEmpNo","StartDate","EndDate)json"
+      R"json("],["EmpNo","FirstName","MajorProjNo"]],"j_measure":0.0}]})json",
+      R"json({"ok":true,"format_version":3,"checksum":"ff7c9ed39949630e",)json"
+      R"json("rows":90,"attributes":19,"values":197,"clusters":5,"phi_t":)json"
+      R"json(0.10000000000000001,"phi_v":0.0,"psi":0.5,"mutual_informatio)json"
+      R"json(n":2.6573567144689956,"threshold":0.0029526185716322174,"ass)json"
+      R"json(ociation_margin":2.0,"value_groups":103,"duplicate_value_gro)json"
+      R"json(ups":55,"has_grouping":true,"fds_mined":718,"ranked_fds":66,)json"
+      R"json("has_schemes":true,"schemes":16,"oov_policy":"drop","refit_c)json"
+      R"json(apable":true,"lineage":null})json",
+      R"json({"ok":true,"format_version":3,"checksum":"4e0b1e12613287fa",)json"
+      R"json("rows":90,"attributes":19,"values":197,"clusters":3,"phi_t":)json"
+      R"json(0.10000000000000001,"phi_v":0.0,"psi":0.5,"mutual_informatio)json"
+      R"json(n":2.6573567144689956,"threshold":0.0029526185716322174,"ass)json"
+      R"json(ociation_margin":2.0,"value_groups":103,"duplicate_value_gro)json"
+      R"json(ups":55,"has_grouping":true,"fds_mined":718,"ranked_fds":66,)json"
+      R"json("has_schemes":false,"schemes":0,"oov_policy":"drop","refit_c)json"
+      R"json(apable":true,"lineage":null})json",
+      R"json({"ok":true,"default":"db2","models":[{"model":"db2","path":")json"
+      R"json(<db2>","version":1,"queries":13,"is_default":true,"rows":90,)json"
+      R"json("checksum":"ff7c9ed39949630e","refit_capable":true,"lineage")json"
+      R"json(:null},{"model":"plain","path":"<plain>","version":1,"querie)json"
+      R"json(s":3,"is_default":false,"rows":90,"checksum":"4e0b1e12613287)json"
+      R"json(fa","refit_capable":true,"lineage":null}]})json",
+      R"json({"ok":true,"reloaded":[{"model":"plain","version":2}]})json",
+      R"json({"ok":true,"default":"db2","models":[{"model":"db2","path":")json"
+      R"json(<db2>","version":1,"queries":13,"is_default":true,"rows":90,)json"
+      R"json("checksum":"ff7c9ed39949630e","refit_capable":true,"lineage")json"
+      R"json(:null},{"model":"plain","path":"<plain>","version":2,"querie)json"
+      R"json(s":3,"is_default":false,"rows":90,"checksum":"4e0b1e12613287)json"
+      R"json(fa","refit_capable":true,"lineage":null}]})json",
+  };
+  return responses;
+}
+
+const std::vector<std::string>& ErrorResponses() {
+  static const std::vector<std::string> responses = {
+      R"json({"ok":false,"code":"InvalidArgument","error":"JSON parse err)json"
+      R"json(or at offset 0: bad keyword"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"JSON parse err)json"
+      R"json(or at offset 12: expected ',' or '}' in object"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query must be )json"
+      R"json(a JSON object"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query must be )json"
+      R"json(a JSON object"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query needs a )json"
+      R"json(string field \"op\""})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query needs a )json"
+      R"json(string field \"op\""})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"unknown op \"f)json"
+      R"json(robnicate\""})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"model\" must)json"
+      R"json( be a string"})json",
+      R"json({"ok":false,"code":"NotFound","error":"unknown model \"missi)json"
+      R"json(ng\""})json",
+      R"json({"ok":false,"code":"NotFound","error":"unknown model \"missi)json"
+      R"json(ng\""})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query needs ex)json"
+      R"json(actly one of \"row\" (array of strings) or \"csv\" (raw reco)json"
+      R"json(rd)"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"query needs ex)json"
+      R"json(actly one of \"row\" (array of strings) or \"csv\" (raw reco)json"
+      R"json(rd)"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"row\" must b)json"
+      R"json(e an array"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"row\" elemen)json"
+      R"json(ts must be strings"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"csv\" must b)json"
+      R"json(e a string"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"csv\" must c)json"
+      R"json(ontain exactly one record, got 2"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"unterminated q)json"
+      R"json(uoted CSV field"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"row has 2 fiel)json"
+      R"json(ds; schema has 19 attributes"})json",
+      R"json({"ok":false,"code":"NotFound","error":"every value in the ro)json"
+      R"json(w is unseen; nothing to assign"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"valuegroup nee)json"
+      R"json(ds string fields \"attr\" and \"value\""})json",
+      R"json({"ok":false,"code":"NotFound","error":"no attribute named No)json"
+      R"json(pe"})json",
+      R"json({"ok":false,"code":"NotFound","error":"value \"D99\" was nev)json"
+      R"json(er seen under attribute \"DeptNo\""})json",
+      R"json({"ok":false,"code":"no_schemes","error":"bundle has no mined)json"
+      R"json(-schemes section; re-fit with --schemes"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"limit\" must)json"
+      R"json( be a non-negative integer"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"limit\" must)json"
+      R"json( be a non-negative integer"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"limit\" must)json"
+      R"json( be a non-negative integer"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"limit\" must)json"
+      R"json( be a non-negative integer"})json",
+      R"json({"ok":false,"code":"InvalidArgument","error":"\"limit\" must)json"
+      R"json( be a non-negative integer"})json",
+  };
+  return responses;
+}
+
+const std::vector<std::string>& StrictResponses() {
+  static const std::vector<std::string> responses = {
+      R"json({"ok":true,"cluster":0,"loss":0.012931239397050119,"oov":0})json",
+      R"json({"ok":false,"code":"NotFound","error":"unseen value for attr)json"
+      R"json(ibute \"ProjNo\": \"P999\""})json",
+      R"json({"ok":false,"code":"NotFound","error":"unseen value for attr)json"
+      R"json(ibute \"MajorProjNo\": \"P404\""})json",
+      R"json({"ok":true,"format_version":3,"checksum":"ff7c9ed39949630e",)json"
+      R"json("rows":90,"attributes":19,"values":197,"clusters":5,"phi_t":)json"
+      R"json(0.10000000000000001,"phi_v":0.0,"psi":0.5,"mutual_informatio)json"
+      R"json(n":2.6573567144689956,"threshold":0.0029526185716322174,"ass)json"
+      R"json(ociation_margin":2.0,"value_groups":103,"duplicate_value_gro)json"
+      R"json(ups":55,"has_grouping":true,"fds_mined":718,"ranked_fds":66,)json"
+      R"json("has_schemes":true,"schemes":16,"oov_policy":"strict","refit)json"
+      R"json(_capable":true,"lineage":null})json",
+  };
+  return responses;
+}
+
+TEST_F(GoldenTest, EveryOpAnswersItsRecordedBytes) {
+  ExpectGoldens(OpLines(), OpResponses());
+}
+
+TEST_F(GoldenTest, EveryErrorShapeAnswersItsRecordedBytes) {
+  ExpectGoldens(ErrorLines(), ErrorResponses());
+}
+
+TEST_F(GoldenTest, StrictOovAnswersItsRecordedBytes) {
+  ExpectGoldens(StrictLines(), StrictResponses(),
+                EngineOptions{OovPolicy::kStrict});
 }
 
 }  // namespace

@@ -291,6 +291,40 @@ TEST_F(ServerTest, FinalLineWithoutNewlineIsAnswered) {
   EXPECT_NE(response.find("\"clusters\":2"), std::string::npos) << response;
 }
 
+// A client that never sends '\n' must not grow the server's read buffer
+// without bound. The requests before the over-long line are answered in
+// order, then one line_too_long error, then the connection closes; the
+// same holds when the over-long line is newline-terminated, and anything
+// sent after it goes unanswered.
+TEST_F(ServerTest, OverlongLineIsAnsweredWithTypedErrorAndClose) {
+  StartServer();
+  const std::string info = "{\"op\":\"info\"}";
+  const std::string want = Expected(registry_.get(), info);
+  const std::string overlong(Server::kMaxLineBytes + 1, 'x');
+  for (const std::string& tail : {overlong, overlong + "\n" + info + "\n"}) {
+    TestClient client;
+    ASSERT_TRUE(client.Connect(port()));
+    ASSERT_TRUE(client.Send(info + "\n" + info + "\n" + tail));
+    std::string response;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(client.ReadLine(&response));
+      EXPECT_EQ(response, want);
+    }
+    ASSERT_TRUE(client.ReadLine(&response));
+    EXPECT_NE(response.find("\"code\":\"line_too_long\""), std::string::npos)
+        << response.substr(0, 200);
+    EXPECT_FALSE(client.ReadLine(&response)) << "connection left open";
+  }
+  // A line of exactly the cap is still a request.
+  TestClient at_cap;
+  ASSERT_TRUE(at_cap.Connect(port()));
+  const std::string padding(Server::kMaxLineBytes - info.size(), ' ');
+  ASSERT_TRUE(at_cap.SendLine(padding + info));
+  std::string response;
+  ASSERT_TRUE(at_cap.ReadLine(&response));
+  EXPECT_EQ(response, want);
+}
+
 // Regression (satellite 2): a signal storm against the serving process
 // must not drop connections or corrupt responses — every blocked socket
 // call gets EINTR-retried. The handler is installed without SA_RESTART

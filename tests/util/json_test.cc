@@ -76,6 +76,34 @@ TEST(JsonParse, RejectsMalformed) {
   }
 }
 
+TEST(JsonParse, NestingCapAcceptsTheCapAndRejectsOneMore) {
+  const std::string at_cap =
+      std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(at_cap).ok());
+  std::string objects;
+  for (size_t i = 0; i < kMaxJsonDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(kMaxJsonDepth, '}');
+  EXPECT_TRUE(ParseJson(objects).ok());
+
+  auto over = ParseJson("[" + at_cap + "]");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("nesting"), std::string::npos);
+  EXPECT_FALSE(ParseJson("{\"k\":" + objects + "}").ok());
+}
+
+// One untrusted line of a million '[' used to recurse a million frames
+// deep and overflow the stack; now it is a typed error.
+TEST(JsonParse, MillionDeepNestingIsATypedError) {
+  const std::string deep(1000000, '[');
+  auto v = ParseJson(deep);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  auto mixed = ParseJson(std::string(500000, '[') + "{\"a\":" +
+                         std::string(500000, '['));
+  EXPECT_FALSE(mixed.ok());
+}
+
 TEST(JsonParse, ErrorsCarryOffset) {
   auto v = ParseJson("{\"a\": @}");
   ASSERT_FALSE(v.ok());
