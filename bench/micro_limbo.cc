@@ -66,13 +66,13 @@
 //    the full fit, and zero responses mismatched after the reload. The
 //    same measurement is the "refit" section of BENCH_report.json.
 //  * `micro_limbo --schemes [--tuples=N]` measures the approximate
-//    acyclic-scheme miner (schemes::MineAcyclicSchemes over the streamed
-//    entropy oracle) on the DB2 join sample and an N-tuple DBLP input:
-//    wall time at 1 and 4 oracle lanes, scheme count, J-measures, and
-//    oracle pass/prune statistics, one JSON line per dataset. Exit 0 iff
-//    both lane counts mine the identical scheme list on every dataset
-//    and DBLP yields at least one scheme. Its output is what
-//    BENCH_schemes.json records.
+//    acyclic-scheme miner (schemes::MineAcyclicSchemes over the
+//    partition-product entropy oracle) on the DB2 join sample and an
+//    N-tuple DBLP input: wall time at 1 and 4 oracle lanes, scheme
+//    count, J-measures, and oracle pass/prune statistics, one JSON line
+//    per dataset. Exit 0 iff both lane counts mine the identical scheme
+//    list on every dataset and DBLP yields at least one scheme. Its
+//    output is what BENCH_schemes.json records.
 
 #include <benchmark/benchmark.h>
 #include <netinet/in.h>

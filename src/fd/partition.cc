@@ -59,4 +59,33 @@ StrippedPartition StrippedPartition::Product(const StrippedPartition& a,
   return out;
 }
 
+void ProductCounter::Load(const StrippedPartition& a, size_t n) {
+  owner_.assign(n, -1);
+  for (size_t i = 0; i < a.classes().size(); ++i) {
+    for (relation::TupleId t : a.classes()[i]) {
+      owner_[t] = static_cast<int32_t>(i);
+    }
+  }
+  counts_.assign(a.NumClasses(), 0);
+}
+
+void ProductCounter::Count(const StrippedPartition& b,
+                           std::vector<uint64_t>* sizes) {
+  sizes->clear();
+  for (const auto& cls : b.classes()) {
+    for (relation::TupleId t : cls) {
+      const int32_t o = owner_[t];
+      if (o >= 0) ++counts_[o];
+    }
+    // Harvest counters of >= 2 and zero every touched one, so the next
+    // class (and the next Count) starts from a clean table.
+    for (relation::TupleId t : cls) {
+      const int32_t o = owner_[t];
+      if (o < 0 || counts_[o] == 0) continue;
+      if (counts_[o] >= 2) sizes->push_back(counts_[o]);
+      counts_[o] = 0;
+    }
+  }
+}
+
 }  // namespace limbo::fd

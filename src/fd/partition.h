@@ -45,6 +45,27 @@ class StrippedPartition {
   size_t covered_ = 0;
 };
 
+/// Count-only sibling of StrippedPartition::Product: the class sizes of
+/// π_a · π_b without their tuple lists. It runs Product's probe table with
+/// one counter per probe class in place of Product's bins. The scratch is
+/// kept between calls, so counting many products over one relation
+/// allocates once, and one loaded probe can be counted against several
+/// partitions (siblings π_a · π_b, π_a · π_c, ...) for one table fill.
+class ProductCounter {
+ public:
+  /// Makes `a` the probe side; `n` is the relation's tuple count.
+  void Load(const StrippedPartition& a, size_t n);
+
+  /// Replaces `*sizes` with the sizes (each >= 2) of the stripped classes
+  /// of probe · b, in the order Product would emit those classes. `b`
+  /// must partition the relation the last Load was given.
+  void Count(const StrippedPartition& b, std::vector<uint64_t>* sizes);
+
+ private:
+  std::vector<int32_t> owner_;    // tuple -> probe class, or -1
+  std::vector<uint32_t> counts_;  // per probe class; all 0 between Counts
+};
+
 }  // namespace limbo::fd
 
 #endif  // LIMBO_FD_PARTITION_H_

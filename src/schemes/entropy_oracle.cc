@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
+#include <utility>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -26,14 +26,74 @@ double EntropyFromCounts(std::vector<uint64_t> counts, uint64_t total) {
   return h < 0.0 ? 0.0 : h;
 }
 
+namespace {
+
+using AttributeList = std::vector<relation::AttributeId>;
+
+double EntropyOf(const fd::StrippedPartition& p, uint64_t n) {
+  std::vector<uint64_t> sizes;
+  sizes.reserve(p.NumClasses());
+  for (const auto& cls : p.classes()) sizes.push_back(cls.size());
+  return EntropyFromCounts(std::move(sizes), n);
+}
+
+/// One lane's depth-first walk over subtrees of a batch's prefix trie.
+/// `order` lists the batch's sets sorted by their ascending attribute
+/// lists, so every trie node's descendants form one contiguous run.
+struct TrieWalk {
+  const std::vector<fd::StrippedPartition>& singles;
+  size_t n;
+  const std::vector<AttributeList>& lists;
+  const std::vector<size_t>& order;
+  fd::ProductCounter& counter;
+  double* entropies;
+  std::vector<uint64_t> sizes;
+
+  /// Resolves order[lo, hi): sets whose first `depth` attributes are the
+  /// prefix partitioned by `node`.
+  void Walk(const fd::StrippedPartition& node, size_t depth, size_t lo,
+            size_t hi) {
+    if (lists[order[lo]].size() == depth) {
+      entropies[order[lo]] = EntropyOf(node, n);
+      ++lo;
+    }
+    // Children are runs sharing the attribute at `depth`. A run that is a
+    // single set ending at that attribute is a leaf and is only counted,
+    // all against one probe of `node`; the others are materialized and
+    // walked after the leaves, so the probe stays loaded meanwhile.
+    std::vector<std::pair<size_t, size_t>> inner;
+    bool probed = false;
+    for (size_t g = lo; g < hi;) {
+      const relation::AttributeId b = lists[order[g]][depth];
+      size_t e = g + 1;
+      while (e < hi && lists[order[e]][depth] == b) ++e;
+      if (e - g == 1 && lists[order[g]].size() == depth + 1) {
+        if (!probed) counter.Load(node, n);
+        probed = true;
+        counter.Count(singles[b], &sizes);
+        entropies[order[g]] = EntropyFromCounts(sizes, n);
+      } else {
+        inner.emplace_back(g, e);
+      }
+      g = e;
+    }
+    for (const auto& [g, e] : inner) {
+      const relation::AttributeId b = lists[order[g]][depth];
+      Walk(fd::StrippedPartition::Product(node, singles[b], n), depth + 1, g,
+           e);
+    }
+  }
+};
+
+}  // namespace
+
 EntropyOracle::EntropyOracle(relation::RowSource& source,
                              const EntropyOracleOptions& options)
     : source_(&source),
       options_(options),
       pool_(options.threads),
-      num_attributes_(source.schema().NumAttributes()) {
-  if (options_.chunk_rows == 0) options_.chunk_rows = 4096;
-}
+      num_attributes_(source.schema().NumAttributes()),
+      counters_(pool_.threads()) {}
 
 util::Result<double> EntropyOracle::H(fd::AttributeSet x) {
   std::vector<fd::AttributeSet> one{x};
@@ -45,10 +105,11 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
     const std::vector<fd::AttributeSet>& sets) {
   std::vector<double> out(sets.size(), 0.0);
   // Resolve the memo (and the trivial empty set) first; collect the
-  // distinct remainder for one counting pass.
+  // distinct remainder for one trie walk.
   std::vector<fd::AttributeSet> missing;
   std::unordered_map<uint64_t, size_t> missing_index;
   std::vector<size_t> slot_of(sets.size(), SIZE_MAX);
+  const fd::AttributeSet schema = fd::AttributeSet::Full(num_attributes_);
   for (size_t i = 0; i < sets.size(); ++i) {
     const fd::AttributeSet x = sets[i];
     double h = 0.0;
@@ -58,6 +119,9 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
       out[i] = h;
       ++stats_.memo_hits;
       LIMBO_OBS_COUNT("schemes.oracle.memo_hits", 1);
+    } else if (!x.IsSubsetOf(schema)) {
+      return util::Status::InvalidArgument(
+          "entropy oracle: attribute set outside the source schema");
     } else {
       auto [it, inserted] = missing_index.emplace(x.bits(), missing.size());
       if (inserted) missing.push_back(x);
@@ -65,17 +129,12 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
     }
   }
   if (!missing.empty()) {
+    LIMBO_OBS_SPAN(span, "schemes.oracle.pass");
+    LIMBO_RETURN_IF_ERROR(Load());
     std::vector<double> fresh(missing.size(), 0.0);
-    // Bound peak memory: at most max_sets_per_pass private counting maps
-    // live at once, at the price of extra streams over the source.
-    const size_t stride = options_.max_sets_per_pass == 0
-                              ? missing.size()
-                              : options_.max_sets_per_pass;
-    for (size_t lo = 0; lo < missing.size(); lo += stride) {
-      const size_t n = std::min(stride, missing.size() - lo);
-      util::Status st = CountPass(missing.data() + lo, n, fresh.data() + lo);
-      if (!st.ok()) return st;
-    }
+    Resolve(missing, fresh.data());
+    stats_.sets_counted += missing.size();
+    LIMBO_OBS_COUNT("schemes.oracle.sets_counted", missing.size());
     for (size_t s = 0; s < missing.size(); ++s) MemoPut(missing[s], fresh[s]);
     for (size_t i = 0; i < sets.size(); ++i) {
       if (slot_of[i] != SIZE_MAX) out[i] = fresh[slot_of[i]];
@@ -84,99 +143,62 @@ util::Result<std::vector<double>> EntropyOracle::HBatch(
   return out;
 }
 
-util::Status EntropyOracle::CountPass(const fd::AttributeSet* sets,
-                                      size_t num_sets, double* entropies) {
-  LIMBO_OBS_SPAN(span, "schemes.oracle.pass");
-  util::Status reset = source_->Reset();
-  if (!reset.ok()) return reset;
-
-  // Attribute lists resolved once (ascending ids — the canonical key
-  // order) plus a per-set private counting map. Each map is written only
-  // by the lane that owns set s (ParallelFor grain 1 → chunk s → lane
-  // s % threads), so the pass is race-free and, because the counts are
-  // exact integers folded through EntropyFromCounts, bit-identical at
-  // every lane count.
-  std::vector<std::vector<relation::AttributeId>> attrs(num_sets);
-  for (size_t s = 0; s < num_sets; ++s) {
-    if (!sets[s].IsSubsetOf(fd::AttributeSet::Full(num_attributes_))) {
-      return util::Status::InvalidArgument(
-          "entropy oracle: attribute set outside the source schema");
-    }
-    attrs[s] = sets[s].ToList();
-  }
-  std::vector<std::unordered_map<std::string, uint64_t>> counts(num_sets);
-
-  // Chunked streaming: buffer up to chunk_rows rows of interned value
-  // ids, then fan the counting of that buffer out over the sets.
+util::Status EntropyOracle::Load() {
+  if (loaded_) return util::Status::Ok();
+  LIMBO_RETURN_IF_ERROR(source_->Reset());
   const size_t m = num_attributes_;
-  std::vector<relation::ValueId> buffer;  // row-major, m ids per row
-  buffer.reserve(options_.chunk_rows * m);
+  relation::RelationBuilder builder(source_->schema());
   std::vector<std::string> fields;
-  uint64_t rows = 0;
-
-  auto flush = [&]() {
-    const size_t chunk_rows = buffer.size() / m;
-    if (chunk_rows == 0) return;
-    pool_.ParallelFor(0, num_sets, /*grain=*/1,
-                      [&](size_t lo, size_t hi) {
-                        for (size_t s = lo; s < hi; ++s) {
-                          auto& map = counts[s];
-                          const auto& ids = attrs[s];
-                          std::string key;
-                          key.reserve(ids.size() * sizeof(relation::ValueId));
-                          for (size_t r = 0; r < chunk_rows; ++r) {
-                            const relation::ValueId* row =
-                                buffer.data() + r * m;
-                            key.clear();
-                            for (relation::AttributeId a : ids) {
-                              const relation::ValueId v = row[a];
-                              key.append(
-                                  reinterpret_cast<const char*>(&v),
-                                  sizeof(v));
-                            }
-                            ++map[key];
-                          }
-                        }
-                      });
-    buffer.clear();
-  };
-
   while (true) {
-    util::Result<bool> more = source_->Next(&fields);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
+    LIMBO_ASSIGN_OR_RETURN(const bool more, source_->Next(&fields));
+    if (!more) break;
     if (fields.size() != m) {
       return util::Status::InvalidArgument(
           "entropy oracle: row width does not match the schema");
     }
-    for (size_t a = 0; a < m; ++a) {
-      buffer.push_back(dictionary_.InternOccurrence(
-          static_cast<relation::AttributeId>(a), fields[a]));
+    LIMBO_RETURN_IF_ERROR(builder.AddRow(fields));
+  }
+  const relation::Relation rel = std::move(builder).Build();
+  singles_.resize(m);
+  pool_.ParallelFor(0, m, /*grain=*/1, [&](size_t lo, size_t hi) {
+    for (size_t a = lo; a < hi; ++a) {
+      singles_[a] = fd::StrippedPartition::ForAttribute(
+          rel, static_cast<relation::AttributeId>(a));
     }
-    ++rows;
-    if (buffer.size() >= options_.chunk_rows * m) flush();
-  }
-  flush();
-
-  num_rows_ = rows;
+  });
+  num_rows_ = rel.NumTuples();
+  loaded_ = true;
   ++stats_.passes;
-  stats_.rows_read += rows;
-  stats_.sets_counted += num_sets;
+  stats_.rows_read += num_rows_;
   LIMBO_OBS_COUNT("schemes.oracle.passes", 1);
-  LIMBO_OBS_COUNT("schemes.oracle.rows_read", rows);
-  LIMBO_OBS_COUNT("schemes.oracle.sets_counted", num_sets);
-
-  for (size_t s = 0; s < num_sets; ++s) {
-    // Move the map out so its memory is released as soon as the entropy
-    // is folded, not when the whole pass unwinds.
-    const std::unordered_map<std::string, uint64_t> map =
-        std::move(counts[s]);
-    std::vector<uint64_t> c;
-    c.reserve(map.size());
-    for (const auto& [key, n] : map) c.push_back(n);
-    entropies[s] = EntropyFromCounts(std::move(c), rows);
-  }
+  LIMBO_OBS_COUNT("schemes.oracle.rows_read", num_rows_);
   return util::Status::Ok();
+}
+
+void EntropyOracle::Resolve(const std::vector<fd::AttributeSet>& sets,
+                            double* entropies) {
+  std::vector<AttributeList> lists(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) lists[i] = sets[i].ToList();
+  std::vector<size_t> order(sets.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return lists[a] < lists[b]; });
+  // One subtree per first attribute, each an independent unit of work.
+  std::vector<size_t> bounds{0};
+  for (size_t i = 1; i < order.size(); ++i) {
+    if (lists[order[i]][0] != lists[order[i - 1]][0]) bounds.push_back(i);
+  }
+  bounds.push_back(order.size());
+  pool_.ParallelFor(
+      0, bounds.size() - 1, /*grain=*/1,
+      [&](size_t lo, size_t hi, size_t lane) {
+        TrieWalk walk{singles_, num_rows_, lists, order, counters_[lane],
+                      entropies, {}};
+        for (size_t t = lo; t < hi; ++t) {
+          const relation::AttributeId a = lists[order[bounds[t]]][0];
+          walk.Walk(singles_[a], 1, bounds[t], bounds[t + 1]);
+        }
+      });
 }
 
 void EntropyOracle::MemoPut(fd::AttributeSet x, double h) {

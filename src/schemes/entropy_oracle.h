@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "fd/attribute_set.h"
-#include "relation/dictionary.h"
+#include "fd/partition.h"
 #include "relation/row_source.h"
 #include "util/parallel.h"
 #include "util/result.h"
@@ -23,75 +23,72 @@ namespace limbo::schemes {
 double EntropyFromCounts(std::vector<uint64_t> counts, uint64_t total);
 
 struct EntropyOracleOptions {
-  /// Lane count for the per-pass counting work; 0 = DefaultThreadCount().
+  /// Lane count for the partition-product work; 0 = DefaultThreadCount().
   size_t threads = 0;
-  /// Rows buffered per streamed chunk before counting fans out.
-  size_t chunk_rows = 4096;
   /// Bound on memoized H(X) entries kept across queries (LRU).
   size_t memo_entries = 4096;
-  /// Upper bound on subsets counted per streaming pass. Every set in a
-  /// pass owns a private hash map with up to one entry per distinct value
-  /// combination, so an unbounded batch (the miner's stage-2 requests grow
-  /// as separators x unpruned pairs) can hold millions of maps alive at
-  /// once; larger batches split into extra passes instead — extra streams
-  /// over the source are cheap relative to the maps. 0 = unlimited.
-  size_t max_sets_per_pass = 1024;
 };
 
-/// Computes H(X) — the Shannon entropy of the projection of a streamed
-/// relation onto an attribute subset X — for batches of subsets in one
-/// counting pass per batch. This is the entropy-over-attribute-sets core
-/// that approximate acyclic scheme mining (Kenig et al.) shares with
-/// FD-RANK: both reduce to "how concentrated is the distribution of
-/// distinct value combinations under X".
+/// Computes H(X) — the Shannon entropy of the projection of a relation,
+/// read from a RowSource, onto an attribute subset X — for batches of
+/// subsets. This is the entropy-over-attribute-sets core that approximate
+/// acyclic scheme mining (Kenig et al.) shares with FD-RANK: both reduce
+/// to "how concentrated is the distribution of distinct value combinations
+/// under X".
 ///
-/// Mechanics: each batch buffers rows in chunks of `chunk_rows`, interning
-/// every field into an owned ValueDictionary (the same Phase-1 interning
-/// discipline, so repeated strings cost one hash each). Counting then
-/// fans out over the *requested sets* with util::ParallelFor at grain 1 —
-/// set s is always counted by lane s % threads, each set owns its private
-/// hash map keyed by the concatenated 4-byte value ids of X's attributes
-/// in ascending order — and entropies come from EntropyFromCounts, so
-/// results are bit-identical at any lane count. A bounded LRU memo keyed
-/// by the subset bitmask absorbs the heavy re-query traffic the miner
-/// generates (H(X) is asked for under many separators).
+/// Mechanics: the first batch that needs counting reads the source once,
+/// interns every row through relation::RelationBuilder, and keeps only
+/// the m single-attribute stripped partitions (fd::StrippedPartition,
+/// TANE's substrate). Every H(X) then follows from partition products
+/// along X's ascending-attribute prefix chain: π_X = π_{X−a} · π_a for
+/// a = X's highest attribute. A batch's missing sets are walked as a
+/// prefix trie, depth first: only proper prefixes of requested sets are
+/// materialized (at most m live per lane), and a requested set that
+/// extends no other is only counted (fd::ProductCounter). Subtrees under
+/// different first attributes fan out over util::ThreadPool at grain 1.
+/// H comes from EntropyFromCounts over the non-singleton class sizes;
+/// singletons add exactly 0.0 to its sorted sum, so each result is exact
+/// and bit-identical at any lane count and any batching. A bounded LRU
+/// memo keyed by the subset bitmask absorbs the heavy re-query traffic
+/// the miner generates (H(X) is asked for under many separators).
 ///
-/// The oracle borrows `source` and Resets it before every counting pass;
-/// callers must not interleave their own reads.
+/// The oracle borrows `source`, Resets it once and reads it to the end on
+/// the first batch that counts; callers must not interleave their own
+/// reads with that batch.
 class EntropyOracle {
  public:
   EntropyOracle(relation::RowSource& source,
                 const EntropyOracleOptions& options = {});
 
-  /// Entropy of one subset. Memoized; H(empty) = 0 without a pass.
+  /// Entropy of one subset. Memoized; H(empty) = 0 without reading.
   util::Result<double> H(fd::AttributeSet x);
 
-  /// Entropies of many subsets, resolved in streaming passes over the
-  /// rows (minus whatever the memo already holds) of at most
-  /// `max_sets_per_pass` sets each. Result order matches `sets`;
-  /// duplicate sets are counted once. Sub-batching never changes a
-  /// result: each set's counts are exact and folded independently.
+  /// Entropies of many subsets (minus whatever the memo already holds),
+  /// resolved in one prefix-trie walk. Result order matches `sets`;
+  /// duplicate sets are counted once. How sets are split across batches
+  /// never changes a result: each is exact and folded independently.
   util::Result<std::vector<double>> HBatch(
       const std::vector<fd::AttributeSet>& sets);
 
-  /// Rows seen by the most recent counting pass (0 before the first).
+  /// Rows read from the source (0 before the first counting batch).
   uint64_t num_rows() const { return num_rows_; }
 
   size_t num_attributes() const { return num_attributes_; }
 
   struct Stats {
-    uint64_t passes = 0;      // streaming passes over the source
-    uint64_t rows_read = 0;   // rows decoded across all passes
-    uint64_t sets_counted = 0;  // subsets resolved by counting
+    uint64_t passes = 0;        // reads of the source: 1 once loaded
+    uint64_t rows_read = 0;     // rows decoded and interned
+    uint64_t sets_counted = 0;  // subsets resolved by partition products
     uint64_t memo_hits = 0;     // subsets resolved from the memo
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Streams the source once and fills `entropies[i]` for `sets[i]`
-  /// (`num_sets` of each; callers bound num_sets by max_sets_per_pass).
-  util::Status CountPass(const fd::AttributeSet* sets, size_t num_sets,
-                         double* entropies);
+  /// Reads the source once (no-op afterwards) and builds `singles_`.
+  util::Status Load();
+
+  /// Fills `entropies[i]` for the distinct, non-empty, in-schema `sets[i]`.
+  void Resolve(const std::vector<fd::AttributeSet>& sets, double* entropies);
 
   void MemoPut(fd::AttributeSet x, double h);
   bool MemoGet(fd::AttributeSet x, double* h);
@@ -101,7 +98,9 @@ class EntropyOracle {
   util::ThreadPool pool_;
   size_t num_attributes_ = 0;
   uint64_t num_rows_ = 0;
-  relation::ValueDictionary dictionary_;
+  bool loaded_ = false;
+  std::vector<fd::StrippedPartition> singles_;  // π_a for every attribute a
+  std::vector<fd::ProductCounter> counters_;    // one per lane
   Stats stats_;
 
   // LRU memo: map from subset bits to (entropy, position in the recency

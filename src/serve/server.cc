@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -145,6 +146,10 @@ void Server::EnqueueLines(Conn* conn, std::vector<std::string> lines,
     conn->lines.push_back(std::move(line));
     ++pending_requests_;
   }
+  const size_t queued = conn->lines.size();  // the peak is written under mu_
+  if (queued > peak_queued_lines_.load(std::memory_order_relaxed)) {
+    peak_queued_lines_.store(queued, std::memory_order_relaxed);
+  }
   if (eof) conn->eof = true;
   if (!conn->claimed && !conn->ready && !conn->lines.empty()) {
     conn->ready = true;
@@ -239,17 +244,23 @@ void Server::CollectFinished() {
 void Server::Run(const std::atomic<int>* stop, std::atomic<int>* reload) {
   std::vector<struct pollfd> pfds;
   std::vector<Conn*> pconns;
+  // Returns whether a connection was left out for holding a full queue.
   const auto build_pollfds = [&](bool with_listener) {
     pfds.clear();
     pconns.clear();
     if (with_listener) pfds.push_back({listen_fd_, POLLIN, 0});
+    bool paused = false;
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::unique_ptr<Conn>& c : conns_) {
-      if (!c->eof && !c->dead) {
-        pfds.push_back({c->fd, POLLIN, 0});
-        pconns.push_back(c.get());
+      if (c->eof || c->dead) continue;
+      if (c->lines.size() >= kMaxQueuedLines) {
+        paused = true;
+        continue;
       }
+      pfds.push_back({c->fd, POLLIN, 0});
+      pconns.push_back(c.get());
     }
+    return paused;
   };
   while (stop->load(std::memory_order_relaxed) == 0) {
     if (reload != nullptr && reload->load(std::memory_order_relaxed) != 0) {
@@ -260,8 +271,12 @@ void Server::Run(const std::atomic<int>* stop, std::atomic<int>* reload) {
       }
     }
     CollectFinished();
-    build_pollfds(/*with_listener=*/true);
-    const int ready = ::poll(pfds.data(), pfds.size(), options_.poll_ms);
+    // Lanes do not wake the reactor, so while a connection is paused
+    // re-check its queue every millisecond to resume reading promptly.
+    const bool paused = build_pollfds(/*with_listener=*/true);
+    const int ready = ::poll(pfds.data(), pfds.size(),
+                             paused ? std::min(options_.poll_ms, 1)
+                                    : options_.poll_ms);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the flags
     if ((pfds[0].revents & POLLIN) != 0) AcceptOne();
     for (size_t i = 1; i < pfds.size(); ++i) {

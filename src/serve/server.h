@@ -69,6 +69,11 @@ struct ServerOptions {
 ///    the cap: the requests before it are answered in order, then the
 ///    connection gets one {"ok":false,"code":"line_too_long",...} and is
 ///    closed.
+///  - a connection holding kMaxQueuedLines framed, unanswered requests is
+///    not read from until the lanes drain its queue below the cap, so a
+///    client that pipelines faster than it reads meets TCP backpressure
+///    instead of growing the server's memory; every request is still
+///    answered exactly once, in order.
 ///
 /// Hot reload happens through the registry ({"op":"reload"} or the
 /// reload flag passed to Run): queries in flight finish on the engine
@@ -77,6 +82,9 @@ class Server {
  public:
   /// Longest request line (without its '\n') a connection may send.
   static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+  /// Framed, unanswered requests one connection may queue before the
+  /// reactor stops reading it (one read may frame a few more).
+  static constexpr size_t kMaxQueuedLines = 1024;
 
   /// Binds 127.0.0.1:port, starts listening and spawns the worker
   /// lanes. The listener is live when Start returns (port() is
@@ -114,6 +122,10 @@ class Server {
   uint64_t batches() const { return batches_.load(std::memory_order_relaxed); }
   uint64_t batched_requests() const {
     return batched_requests_.load(std::memory_order_relaxed);
+  }
+  /// Most framed, unanswered requests any one connection has queued.
+  size_t peak_queued_lines() const {
+    return peak_queued_lines_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -162,6 +174,7 @@ class Server {
   std::atomic<uint64_t> sheds_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> batched_requests_{0};
+  std::atomic<size_t> peak_queued_lines_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "testing/make_relation.h"
+#include "util/random.h"
 
 namespace limbo::fd {
 namespace {
@@ -83,6 +88,115 @@ TEST(StrippedPartitionTest, FdViolationChangesRank) {
   const auto pab = StrippedPartition::Product(
       pa, StrippedPartition::ForAttribute(rel, 1), n);
   EXPECT_NE(pa.Rank(), pab.Rank());  // A -> B fails on x
+}
+
+std::vector<uint64_t> SortedSizes(const StrippedPartition& p) {
+  std::vector<uint64_t> sizes;
+  for (const auto& cls : p.classes()) sizes.push_back(cls.size());
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+std::vector<uint64_t> CountedSizes(ProductCounter& counter,
+                                   const StrippedPartition& a,
+                                   const StrippedPartition& b, size_t n) {
+  counter.Load(a, n);
+  std::vector<uint64_t> sizes{99};  // Count must replace, not append
+  counter.Count(b, &sizes);
+  std::sort(sizes.begin(), sizes.end());
+  return sizes;
+}
+
+/// Counts a · b with `counter` and checks it against Product's classes.
+void ExpectCountMatchesProduct(ProductCounter& counter,
+                               const StrippedPartition& a,
+                               const StrippedPartition& b, size_t n) {
+  EXPECT_EQ(CountedSizes(counter, a, b, n),
+            SortedSizes(StrippedPartition::Product(a, b, n)));
+}
+
+TEST(ProductCounterTest, MatchesProductOnRandomRelations) {
+  // One counter across every product: reused scratch must not leak.
+  ProductCounter counter;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    util::Random rng(seed);
+    const size_t rows = 1 + rng.Uniform(300);
+    std::vector<std::vector<std::string>> data;
+    for (size_t t = 0; t < rows; ++t) {
+      data.push_back({"a" + std::to_string(rng.Uniform(3)),
+                      "b" + std::to_string(rng.Uniform(7)),
+                      "c" + std::to_string(rng.Uniform(40))});
+    }
+    const auto rel = MakeRelation({"A", "B", "C"}, data);
+    const size_t n = rel.NumTuples();
+    std::vector<StrippedPartition> p;
+    for (relation::AttributeId a = 0; a < 3; ++a) {
+      p.push_back(StrippedPartition::ForAttribute(rel, a));
+    }
+    for (size_t a = 0; a < 3; ++a) {
+      for (size_t b = 0; b < 3; ++b) {
+        ExpectCountMatchesProduct(counter, p[a], p[b], n);
+      }
+    }
+    const auto ab = StrippedPartition::Product(p[0], p[1], n);
+    ExpectCountMatchesProduct(counter, ab, p[2], n);
+    ExpectCountMatchesProduct(counter, p[2], ab, n);
+  }
+}
+
+TEST(ProductCounterTest, EdgeCases) {
+  ProductCounter counter;
+  // n = 0.
+  const auto empty = MakeRelation({"A", "B"}, {});
+  ExpectCountMatchesProduct(counter,
+                            StrippedPartition::ForAttribute(empty, 0),
+                            StrippedPartition::ForAttribute(empty, 1), 0);
+  // All singletons: both sides are keys, nothing survives.
+  const auto keys = MakeRelation({"A", "B"}, {{"1", "x"}, {"2", "y"}});
+  const auto ka = StrippedPartition::ForAttribute(keys, 0);
+  const auto kb = StrippedPartition::ForAttribute(keys, 1);
+  EXPECT_TRUE(CountedSizes(counter, ka, kb, 2).empty());
+  ExpectCountMatchesProduct(counter, ka, kb, 2);
+  // One class: constant columns.
+  const auto constant =
+      MakeRelation({"A", "B"}, {{"c", "d"}, {"c", "d"}, {"c", "d"}});
+  const auto ca = StrippedPartition::ForAttribute(constant, 0);
+  const auto cb = StrippedPartition::ForAttribute(constant, 1);
+  EXPECT_EQ(CountedSizes(counter, ca, cb, 3), std::vector<uint64_t>{3});
+  ExpectCountMatchesProduct(counter, ca, cb, 3);
+  // Disjoint coverage: A's classes cover tuples 0-3, B's cover 4-7.
+  const auto disjoint = MakeRelation(
+      {"A", "B"}, {{"x", "1"}, {"x", "2"}, {"y", "3"}, {"y", "4"},
+                   {"5", "p"}, {"6", "p"}, {"7", "q"}, {"8", "q"}});
+  const auto da = StrippedPartition::ForAttribute(disjoint, 0);
+  const auto db = StrippedPartition::ForAttribute(disjoint, 1);
+  EXPECT_TRUE(CountedSizes(counter, da, db, 8).empty());
+  ExpectCountMatchesProduct(counter, da, db, 8);
+  ExpectCountMatchesProduct(counter, db, da, 8);
+}
+
+TEST(ProductCounterTest, OneProbeCountsManyPartitionsWithoutLeaking) {
+  const auto rel = MakeRelation({"A", "B", "C"}, {{"x", "1", "p"},
+                                                  {"x", "1", "p"},
+                                                  {"x", "2", "p"},
+                                                  {"x", "2", "q"},
+                                                  {"y", "1", "q"},
+                                                  {"y", "1", "q"}});
+  const size_t n = rel.NumTuples();
+  const auto pa = StrippedPartition::ForAttribute(rel, 0);
+  const auto pb = StrippedPartition::ForAttribute(rel, 1);
+  const auto pc = StrippedPartition::ForAttribute(rel, 2);
+  ProductCounter counter;
+  counter.Load(pa, n);
+  std::vector<uint64_t> sizes;
+  for (int round = 0; round < 2; ++round) {
+    counter.Count(pb, &sizes);
+    std::sort(sizes.begin(), sizes.end());
+    EXPECT_EQ(sizes, SortedSizes(StrippedPartition::Product(pa, pb, n)));
+    counter.Count(pc, &sizes);
+    std::sort(sizes.begin(), sizes.end());
+    EXPECT_EQ(sizes, SortedSizes(StrippedPartition::Product(pa, pc, n)));
+  }
 }
 
 }  // namespace

@@ -325,6 +325,58 @@ TEST_F(ServerTest, OverlongLineIsAnsweredWithTypedErrorAndClose) {
   EXPECT_EQ(response, want);
 }
 
+// A client that pipelines far faster than it reads must not grow the
+// server's per-connection queue without bound. While the client reads
+// nothing, the lanes block on its full socket, the queue reaches
+// kMaxQueuedLines and the reactor stops reading the connection; once the
+// client reads, the lanes drain the queue and reading resumes. Every
+// line is answered exactly once, in order.
+TEST_F(ServerTest, PipelinedFloodIsBackpressuredAndAnsweredInOrder) {
+  StartServer(/*workers=*/2);
+  const std::vector<std::string> queries = {
+      "{\"op\":\"info\",\"model\":\"wide\"}",
+      "{\"op\":\"info\",\"model\":\"narrow\"}",
+      "not json at all",
+  };
+  std::vector<std::string> want;
+  for (const std::string& query : queries) {
+    want.push_back(Expected(registry_.get(), query));
+  }
+  constexpr size_t kLines = 100000;
+  std::string flood;
+  for (size_t i = 0; i < kLines; ++i) {
+    flood += queries[i % queries.size()];
+    flood.push_back('\n');
+  }
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  std::atomic<bool> sent{false};
+  std::atomic<bool> send_ok{false};
+  std::thread writer([&] {
+    send_ok.store(client.Send(flood));
+    sent.store(true);
+  });
+  // Read nothing until the queue is full (or, on a host whose socket
+  // buffers swallow every response, until the whole flood is sent).
+  for (int spins = 0; spins < 10000 && !sent.load() &&
+                      server_->peak_queued_lines() < Server::kMaxQueuedLines;
+       ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  size_t answered = 0;
+  std::string response;
+  for (; answered < kLines; ++answered) {
+    if (!client.ReadLine(&response)) break;
+    if (response != want[answered % want.size()]) break;
+  }
+  writer.join();
+  EXPECT_TRUE(send_ok.load());
+  EXPECT_EQ(answered, kLines) << "wrong or missing response";
+  // At most one 4 KiB read of 2-byte lines past the cap.
+  EXPECT_LE(server_->peak_queued_lines(), Server::kMaxQueuedLines + 2049);
+  EXPECT_GE(server_->peak_queued_lines(), Server::kMaxQueuedLines);
+}
+
 // Regression (satellite 2): a signal storm against the serving process
 // must not drop connections or corrupt responses — every blocked socket
 // call gets EINTR-retried. The handler is installed without SA_RESTART

@@ -422,10 +422,10 @@ int CmdRank(const relation::Relation& rel, const Args& args) {
   return 0;
 }
 
-/// Mines approximate acyclic schemes: a streamed entropy oracle over the
-/// relation feeds the J-measure search. The printed error per scheme is
-/// its J-measure — the KL cost in bits of pretending the relation joins
-/// losslessly from the scheme's bags.
+/// Mines approximate acyclic schemes: a partition-product entropy oracle
+/// over the relation feeds the J-measure search. The printed error per
+/// scheme is its J-measure — the KL cost in bits of pretending the
+/// relation joins losslessly from the scheme's bags.
 int CmdSchemes(const relation::Relation& rel, const Args& args) {
   relation::RelationRowSource source(rel);
   schemes::EntropyOracleOptions oracle_options;
