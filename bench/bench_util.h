@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/info.h"
 #include "core/limbo.h"
 #include "core/tuple_clustering.h"
 #include "datagen/error_inject.h"
@@ -230,21 +229,13 @@ inline std::vector<uint32_t> TupleClusterLabels(const relation::Relation& rel,
                                                 double phi_t,
                                                 size_t* num_clusters) {
   const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-  core::WeightedRows rows;
-  for (const core::Dcf& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
   core::LimboOptions options;
   options.phi = phi_t;
-  const double threshold =
-      phi_t * info / static_cast<double>(objects.size());
-  const std::vector<core::Dcf> leaves =
-      core::LimboPhase1(objects, options, threshold);
-  auto labels = core::LimboPhase3(objects, leaves);
-  *num_clusters = leaves.size();
-  return std::move(labels).value();
+  core::VectorDcfStream stream(objects);
+  const core::Phase1Summary phase1 =
+      core::SummarizePhase1(stream, options).value();
+  *num_clusters = phase1.leaves.size();
+  return core::LimboPhase3(objects, phase1.leaves).value();
 }
 
 }  // namespace limbo::bench

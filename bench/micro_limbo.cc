@@ -96,7 +96,6 @@
 #include "bench_util.h"
 #include "core/aib.h"
 #include "core/dcf_tree.h"
-#include "core/info.h"
 #include "core/limbo.h"
 #include "core/run_report.h"
 #include "core/tuple_clustering.h"
@@ -195,15 +194,10 @@ BENCHMARK(BM_AibFull)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Complexity();
 void BM_LimboPhase1(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto objects = SyntheticObjects(n, 8, 42);
-  core::WeightedRows rows;
-  for (const auto& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
   core::LimboOptions options;
   options.phi = 0.5;
-  const double threshold = 0.5 * info / static_cast<double>(n);
+  core::VectorDcfStream stream(objects);
+  const double threshold = core::SummarizePhase1(stream, options)->threshold;
   for (auto _ : state) {
     auto leaves = core::LimboPhase1(objects, options, threshold);
     benchmark::DoNotOptimize(leaves);
@@ -423,18 +417,11 @@ int RunKernelBench(size_t tuples) {
   dblp_options.target_tuples = tuples;
   const relation::Relation rel = datagen::GenerateDblp(dblp_options);
   const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-  core::WeightedRows rows;
-  for (const core::Dcf& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
   core::LimboOptions limbo_options;
   limbo_options.phi = 0.5;
-  const double threshold =
-      0.5 * info / static_cast<double>(objects.size());
+  core::VectorDcfStream stream(objects);
   const std::vector<core::Dcf> leaves =
-      core::LimboPhase1(objects, limbo_options, threshold);
+      core::SummarizePhase1(stream, limbo_options).value().leaves;
 
   bench::KernelEndToEndRow e2e;
   e2e.tuples = objects.size();

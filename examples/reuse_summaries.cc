@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "core/info.h"
 #include "core/limbo.h"
 #include "core/summary_io.h"
 #include "core/tuple_clustering.h"
@@ -27,20 +26,15 @@ int Run() {
 
   // Session 1: build and persist the tuple summaries.
   const auto objects = core::BuildTupleObjects(rel);
-  core::WeightedRows rows;
-  for (const auto& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
   core::LimboOptions options;
   options.phi = 0.5;
-  const auto leaves = core::LimboPhase1(
-      objects, options, 0.5 * info / static_cast<double>(objects.size()));
+  core::VectorDcfStream stream(objects);
+  auto phase1 = core::SummarizePhase1(stream, options);
+  if (!phase1.ok()) return 1;
   const std::string path = "/tmp/limbo_example_summaries.dcf";
-  if (!core::SaveDcfs(leaves, path).ok()) return 1;
+  if (!core::SaveDcfs(phase1->leaves, path).ok()) return 1;
   std::printf("Session 1: built %zu summaries (I = %.3f bits), saved to %s\n",
-              leaves.size(), info, path.c_str());
+              phase1->leaves.size(), phase1->mutual_information, path.c_str());
 
   // Session 2: reload and use them for Double Clustering.
   auto reloaded = core::LoadDcfs(path);

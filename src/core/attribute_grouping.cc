@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/info.h"
 #include "core/limbo.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -72,16 +71,11 @@ util::Result<AttributeGroupingResult> GroupAttributes(
   std::vector<Dcf> aib_inputs;
   if (options.phi_a > 0.0) {
     // Pre-summarize with Phase 1 and recover leaf membership via Phase 3.
-    WeightedRows wr;
-    for (const Dcf& o : objects) {
-      wr.weights.push_back(o.p);
-      wr.rows.push_back(o.cond);
-    }
-    const double info = MutualInformation(wr);
     LimboOptions lo;
     lo.phi = options.phi_a;
-    aib_inputs = LimboPhase1(objects, lo,
-                             options.phi_a * info / static_cast<double>(q));
+    VectorDcfStream stream(objects);
+    LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1, SummarizePhase1(stream, lo));
+    aib_inputs = std::move(phase1.leaves);
     LIMBO_ASSIGN_OR_RETURN(
         std::vector<uint32_t> labels,
         LimboPhase3(objects, aib_inputs, nullptr, options.threads));

@@ -39,6 +39,27 @@ class DcfStream {
   virtual bool IsStreaming() const { return true; }
 };
 
+/// Objects per chunk when a scan is asked for chunk size 0.
+inline constexpr size_t kDefaultStreamChunk = 4096;
+
+/// One full scan of `objects`: `fn(chunk, base)` sees every chunk of at
+/// most `chunk_size` objects (0 = kDefaultStreamChunk) in stream order,
+/// `base` being the stream index of the chunk's first object; then the
+/// stream rewinds so the next scan starts at object 0.
+template <typename Fn>
+util::Status ScanChunks(DcfStream& objects, size_t chunk_size, Fn&& fn) {
+  if (chunk_size == 0) chunk_size = kDefaultStreamChunk;
+  size_t base = 0;
+  while (true) {
+    LIMBO_ASSIGN_OR_RETURN(std::span<const Dcf> chunk,
+                           objects.NextChunk(chunk_size));
+    if (chunk.empty()) break;
+    fn(chunk, base);
+    base += chunk.size();
+  }
+  return objects.Reset();
+}
+
 /// Zero-copy adapter over a materialized object vector: chunks are
 /// subspans of the caller's storage, so the vector entry points pay
 /// nothing for routing through the streamed pipeline. `objects` must

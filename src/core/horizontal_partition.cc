@@ -10,24 +10,6 @@
 
 namespace limbo::core {
 
-namespace {
-
-/// One full pass over the stream applying `fn` to (object, global index),
-/// then a rewind.
-template <typename Fn>
-util::Status ScanIndexed(DcfStream& objects, size_t chunk, Fn&& fn) {
-  size_t index = 0;
-  while (true) {
-    LIMBO_ASSIGN_OR_RETURN(std::span<const Dcf> part,
-                           objects.NextChunk(chunk));
-    if (part.empty()) break;
-    for (const Dcf& object : part) fn(object, index++);
-  }
-  return objects.Reset();
-}
-
-}  // namespace
-
 util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
     DcfStream& objects, const HorizontalPartitionOptions& options) {
   const size_t n = objects.size();
@@ -44,10 +26,7 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
   limbo_options.leaf_capacity = options.leaf_capacity;
   limbo_options.k = 0;  // full dendrogram; we pick k ourselves
   limbo_options.threads = options.threads;
-  if (options.stream_chunk > 0) {
-    limbo_options.stream_chunk = options.stream_chunk;
-  }
-  const size_t chunk = limbo_options.stream_chunk;
+  limbo_options.stream_chunk = options.stream_chunk;
   LIMBO_ASSIGN_OR_RETURN(LimboResult limbo,
                          RunLimboStreamed(objects, limbo_options));
 
@@ -125,17 +104,9 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
                            ClusterDcfsAtK(limbo.leaves, limbo.aib, chosen));
     Phase3Assigner assigner(reps, options.threads);
     result.assignments.resize(n);
-    size_t base = 0;
-    while (true) {
-      LIMBO_ASSIGN_OR_RETURN(std::span<const Dcf> part,
-                             objects.NextChunk(chunk));
-      if (part.empty()) break;
-      assigner.AssignChunk(part, result.assignments.data() + base, nullptr);
-      base += part.size();
-    }
+    LIMBO_RETURN_IF_ERROR(assigner.AssignStream(
+        objects, options.stream_chunk, result.assignments.data(), nullptr));
     assigner.Flush();
-    util::Status reset = objects.Reset();
-    if (!reset.ok()) return reset;
     ++result.timings.phase3_source_rescans;
     result.timings.phase3_seconds = phase3_span.Stop();
     result.timings.phase3_distance_evals =
@@ -152,19 +123,22 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
   std::vector<std::unordered_set<uint32_t>> values(chosen);
   std::vector<Dcf> assigned(chosen);
   std::vector<bool> seen(chosen, false);
-  util::Status scan =
-      ScanIndexed(objects, chunk, [&](const Dcf& object, size_t i) {
-        const uint32_t c = result.assignments[i];
-        ++result.cluster_sizes[c];
-        for (const auto& e : object.cond.entries()) values[c].insert(e.id);
-        if (!seen[c]) {
-          assigned[c] = object;
-          seen[c] = true;
-        } else {
-          assigned[c] = MergeDcf(assigned[c], object);
+  LIMBO_RETURN_IF_ERROR(ScanChunks(
+      objects, options.stream_chunk,
+      [&](std::span<const Dcf> chunk, size_t base) {
+        for (size_t j = 0; j < chunk.size(); ++j) {
+          const Dcf& object = chunk[j];
+          const uint32_t c = result.assignments[base + j];
+          ++result.cluster_sizes[c];
+          for (const auto& e : object.cond.entries()) values[c].insert(e.id);
+          if (!seen[c]) {
+            assigned[c] = object;
+            seen[c] = true;
+          } else {
+            assigned[c] = MergeDcf(assigned[c], object);
+          }
         }
-      });
-  if (!scan.ok()) return scan;
+      }));
   ++result.timings.phase3_source_rescans;
   result.cluster_value_counts.resize(chosen);
   for (size_t c = 0; c < chosen; ++c) {

@@ -26,7 +26,7 @@ struct HorizontalPartitionOptions {
   /// 1 = serial; results bit-identical).
   size_t threads = 0;
   /// Objects per stream chunk for the scans (memory knob only; every
-  /// value is bit-identical). 0 = the LimboOptions default.
+  /// value is bit-identical). 0 = kDefaultStreamChunk.
   size_t stream_chunk = 0;
 };
 

@@ -21,19 +21,6 @@ DcfTree::Options MakeTreeOptions(const LimboOptions& options,
   return tree_options;
 }
 
-/// One full scan of the stream — `fn` sees every object in stream order —
-/// followed by a rewind so the next pass starts at object 0.
-template <typename Fn>
-util::Status ScanObjects(DcfStream& objects, size_t chunk, Fn&& fn) {
-  while (true) {
-    LIMBO_ASSIGN_OR_RETURN(std::span<const Dcf> part,
-                           objects.NextChunk(chunk));
-    if (part.empty()) break;
-    for (const Dcf& object : part) fn(object);
-  }
-  return objects.Reset();
-}
-
 }  // namespace
 
 Phase1Builder::Phase1Builder(const LimboOptions& options, double threshold)
@@ -87,6 +74,16 @@ void Phase3Assigner::AssignChunk(std::span<const Dcf> objects,
   });
 }
 
+util::Status Phase3Assigner::AssignStream(DcfStream& objects,
+                                          size_t chunk_size, uint32_t* labels,
+                                          double* loss) {
+  return ScanChunks(objects, chunk_size,
+                    [&](std::span<const Dcf> chunk, size_t base) {
+                      AssignChunk(chunk, labels + base,
+                                  loss != nullptr ? loss + base : nullptr);
+                    });
+}
+
 void Phase3Assigner::Flush() { FlushKernelStats(kernels_, "phase3.kernel"); }
 
 util::Result<std::vector<uint32_t>> LimboPhase3(
@@ -104,8 +101,8 @@ util::Result<std::vector<uint32_t>> LimboPhase3(
   return labels;
 }
 
-util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
-                                           const LimboOptions& options) {
+util::Result<Phase1Summary> SummarizePhase1(DcfStream& objects,
+                                            const LimboOptions& options) {
   const size_t n = objects.size();
   if (n == 0) {
     return util::Status::InvalidArgument("LIMBO needs >= 1 object");
@@ -113,58 +110,63 @@ util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
   if (options.phi < 0.0) {
     return util::Status::InvalidArgument("phi must be >= 0");
   }
+  Phase1Summary summary;
+  // I(V;T) of the raw objects: two scans through the streaming
+  // accumulator, bit-identical to MutualInformation over the
+  // materialized rows.
+  MutualInformationAccumulator info;
+  LIMBO_RETURN_IF_ERROR(ScanChunks(
+      objects, options.stream_chunk, [&](std::span<const Dcf> chunk, size_t) {
+        for (const Dcf& object : chunk) {
+          info.AddMarginal(object.p, object.cond);
+        }
+      }));
+  LIMBO_RETURN_IF_ERROR(ScanChunks(
+      objects, options.stream_chunk, [&](std::span<const Dcf> chunk, size_t) {
+        for (const Dcf& object : chunk) {
+          info.AddInformation(object.p, object.cond);
+        }
+      }));
+  summary.mutual_information = info.Value();
+  summary.threshold =
+      options.phi * summary.mutual_information / static_cast<double>(n);
+
+  Phase1Builder builder(options, summary.threshold);
+  if (options.freeze_tree) summary.row_entry_ids.reserve(n);
+  LIMBO_RETURN_IF_ERROR(ScanChunks(
+      objects, options.stream_chunk, [&](std::span<const Dcf> chunk, size_t) {
+        for (const Dcf& object : chunk) {
+          const uint32_t entry = builder.Insert(object);
+          if (options.freeze_tree) summary.row_entry_ids.push_back(entry);
+        }
+      }));
+  summary.leaves = builder.Leaves();
+  summary.tree_stats = builder.stats();
+  if (options.freeze_tree) {
+    summary.frozen_tree = builder.Freeze();
+    summary.has_frozen_tree = true;
+  }
+  return summary;
+}
+
+util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
+                                           const LimboOptions& options) {
+  const size_t n = objects.size();
   if (options.k > n) {
     return util::Status::InvalidArgument(
         util::StrFormat("k=%zu exceeds object count %zu", options.k, n));
   }
-  const size_t chunk = options.stream_chunk == 0
-                           ? LimboOptions().stream_chunk
-                           : options.stream_chunk;
 
   LimboResult result;
   result.timings.streamed = objects.IsStreaming();
-
-  // I(V;T) of the raw objects, needed for the Phase-1 threshold: two
-  // scans through the streaming accumulator, bit-identical to
-  // MutualInformation over the materialized rows.
-  MutualInformationAccumulator info;
-  util::Status scan = ScanObjects(objects, chunk, [&](const Dcf& object) {
-    info.AddMarginal(object.p, object.cond);
-  });
-  if (!scan.ok()) return scan;
-  ++result.timings.source_scans;
-  scan = ScanObjects(objects, chunk, [&](const Dcf& object) {
-    info.AddInformation(object.p, object.cond);
-  });
-  if (!scan.ok()) return scan;
-  ++result.timings.source_scans;
-  result.mutual_information = info.Value();
-  result.threshold = options.phi * result.mutual_information /
-                     static_cast<double>(n);
-
   LIMBO_OBS_SPAN(limbo_span, "limbo");
   {
     LIMBO_OBS_SPAN(phase1_span, "phase1");
-    Phase1Builder builder(options, result.threshold);
-    if (options.freeze_tree) {
-      result.row_entry_ids.reserve(n);
-      scan = ScanObjects(objects, chunk, [&](const Dcf& object) {
-        result.row_entry_ids.push_back(builder.Insert(object));
-      });
-    } else {
-      scan = ScanObjects(objects, chunk,
-                         [&](const Dcf& object) { builder.Insert(object); });
-    }
-    if (!scan.ok()) return scan;
-    ++result.timings.source_scans;
-    result.leaves = builder.Leaves();
-    result.tree_stats = builder.stats();
-    if (options.freeze_tree) {
-      result.frozen_tree = builder.Freeze();
-      result.has_frozen_tree = true;
-    }
+    LIMBO_ASSIGN_OR_RETURN(static_cast<Phase1Summary&>(result),
+                           SummarizePhase1(objects, options));
     result.timings.phase1_seconds = phase1_span.Stop();
   }
+  result.timings.source_scans = 3;  // two for I(V;T), one insert scan
 
   AibOptions aib_options;
   aib_options.threads = options.threads;
@@ -190,18 +192,11 @@ util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
     Phase3Assigner assigner(result.representatives, options.threads);
     result.assignments.resize(n);
     result.assignment_loss.assign(n, 0.0);
-    size_t base = 0;
-    while (true) {
-      LIMBO_ASSIGN_OR_RETURN(std::span<const Dcf> part,
-                             objects.NextChunk(chunk));
-      if (part.empty()) break;
-      assigner.AssignChunk(part, result.assignments.data() + base,
-                           result.assignment_loss.data() + base);
-      base += part.size();
-    }
+    LIMBO_RETURN_IF_ERROR(
+        assigner.AssignStream(objects, options.stream_chunk,
+                              result.assignments.data(),
+                              result.assignment_loss.data()));
     assigner.Flush();
-    scan = objects.Reset();
-    if (!scan.ok()) return scan;
     ++result.timings.phase3_source_rescans;
     result.timings.phase3_seconds = phase3_span.Stop();
     result.timings.phase3_distance_evals =

@@ -38,8 +38,8 @@ struct LimboOptions {
   /// Objects pulled per DcfStream chunk in the streamed pipeline (the
   /// I(V;T) passes, the Phase-1 insert scan, and the Phase-3 assignment
   /// scan). A memory knob only — every chunk size yields bit-identical
-  /// results; 0 falls back to the default.
-  size_t stream_chunk = 4096;
+  /// results; 0 falls back to kDefaultStreamChunk.
+  size_t stream_chunk = kDefaultStreamChunk;
   /// When true, the run snapshots the Phase-1 tree (LimboResult::
   /// frozen_tree) and records the leaf-entry id every object landed in
   /// (row_entry_ids) — the state `limbo-tool refit` rehydrates to absorb
@@ -55,7 +55,7 @@ struct LimboOptions {
 /// lives in the obs registry (obs/trace.h, obs/counters.h). Wall times
 /// read 0.0 when the obs layer is disabled (LIMBO_OBS=0).
 struct PhaseTimings {
-  /// Phase-1 (DCF tree build) wall-time, seconds.
+  /// Phase-1 (I(V;T) scans and DCF tree build) wall-time, seconds.
   double phase1_seconds = 0.0;
   /// Phase-2 (AIB over the leaves) wall-time, seconds.
   double phase2_seconds = 0.0;
@@ -84,25 +84,16 @@ struct PhaseTimings {
   uint64_t phase3_source_rescans = 0;
 };
 
-/// Everything a LIMBO run produces.
-struct LimboResult {
+/// What Phase 1 makes of an object stream (SummarizePhase1).
+struct Phase1Summary {
   /// Mutual information I(V;T) of the input objects (bits).
   double mutual_information = 0.0;
-  /// The Phase-1 merge threshold φ·I/q actually used.
+  /// The Phase-1 merge threshold φ·I(V;T)/q actually used, q = number of
+  /// objects.
   double threshold = 0.0;
   /// Phase-1 leaf summaries.
   std::vector<Dcf> leaves;
-  /// Phase-2 agglomerative merge sequence over the leaves.
-  AibResult aib{0, {}};
-  /// Phase-2 cluster representatives (only when options.k > 0).
-  std::vector<Dcf> representatives;
-  /// Phase-3 label per input object (only when options.k > 0).
-  std::vector<uint32_t> assignments;
-  /// Phase-3 information loss of each object's assignment.
-  std::vector<double> assignment_loss;
   DcfTree::Stats tree_stats;
-  /// Per-phase wall-time and distance-evaluation counters.
-  PhaseTimings timings;
   /// Snapshot of the Phase-1 tree after the insert scan (only when
   /// options.freeze_tree). Serialized into the model bundle so refit can
   /// resume incremental insertion.
@@ -112,6 +103,20 @@ struct LimboResult {
   /// into (only when options.freeze_tree). Lets refit re-derive labels
   /// for the original rows from an updated tree without the raw data.
   std::vector<uint32_t> row_entry_ids;
+};
+
+/// Everything a LIMBO run produces: the Phase-1 summary, then Phases 2-3.
+struct LimboResult : Phase1Summary {
+  /// Phase-2 agglomerative merge sequence over the leaves.
+  AibResult aib{0, {}};
+  /// Phase-2 cluster representatives (only when options.k > 0).
+  std::vector<Dcf> representatives;
+  /// Phase-3 label per input object (only when options.k > 0).
+  std::vector<uint32_t> assignments;
+  /// Phase-3 information loss of each object's assignment.
+  std::vector<double> assignment_loss;
+  /// Per-phase wall-time and distance-evaluation counters.
+  PhaseTimings timings;
 };
 
 /// Incremental Phase 1: insert objects one at a time — from a stream or a
@@ -156,6 +161,12 @@ class Phase3Assigner {
   void AssignChunk(std::span<const Dcf> objects, uint32_t* labels,
                    double* loss);
 
+  /// AssignChunk over one full scan of `objects` in chunks of
+  /// `chunk_size` (0 = kDefaultStreamChunk), then a rewind. The output
+  /// arrays must hold objects.size() cells.
+  util::Status AssignStream(DcfStream& objects, size_t chunk_size,
+                            uint32_t* labels, double* loss);
+
   /// Publishes the accumulated per-lane kernel counters to the obs
   /// registry ("phase3.kernel"). Call exactly once, after the last chunk.
   void Flush();
@@ -167,6 +178,16 @@ class Phase3Assigner {
   util::ThreadPool pool_;
   std::vector<LossKernel> kernels_;
 };
+
+/// Phase 1 over a rewindable object stream (Section 5.2), the one place
+/// the accuracy knob φ becomes a threshold: two scans for I(V;T) through
+/// MutualInformationAccumulator, then threshold = φ·I(V;T)/q and one
+/// insert scan with only the DCF tree resident. Exactly three full scans,
+/// each ending in a rewind. Reads phi, branching, leaf_capacity,
+/// stream_chunk and freeze_tree from `options`. Fails on an empty stream
+/// or a negative φ.
+util::Result<Phase1Summary> SummarizePhase1(DcfStream& objects,
+                                            const LimboOptions& options);
 
 /// Phase 1 only: builds the DCF tree over `objects` with the given
 /// absolute merge `threshold` and returns the leaf summaries. Thin
@@ -184,13 +205,13 @@ util::Result<std::vector<uint32_t>> LimboPhase3(
     const std::vector<Dcf>& objects, const std::vector<Dcf>& representatives,
     std::vector<double>* loss = nullptr, size_t threads = 0);
 
-/// Full pipeline over a rewindable object stream: two scans for I(V;T)
-/// (threshold φ·I/q), one Phase-1 insert scan (only the DCF tree
-/// resident), Phase 2 (AIB on the leaves) and, when options.k > 0, one
-/// Phase-3 re-scan that labels every object. Peak memory against a real
-/// source is the DCF tree plus one chunk of objects. Results — clusters,
-/// losses, and every work counter — are bit-identical to RunLimbo over
-/// the materialized vector, at every thread count and chunk size.
+/// Full pipeline over a rewindable object stream: SummarizePhase1 (two
+/// I(V;T) scans and the insert scan), Phase 2 (AIB on the leaves) and,
+/// when options.k > 0, one Phase-3 re-scan that labels every object.
+/// Peak memory against a real source is the DCF tree plus one chunk of
+/// objects. Results — clusters, losses, and every work counter — are
+/// bit-identical to RunLimbo over the materialized vector, at every
+/// thread count and chunk size.
 util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
                                            const LimboOptions& options);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/info.h"
 #include "core/limbo.h"
 #include "core/measures.h"
 #include "obs/trace.h"
@@ -41,20 +40,13 @@ util::Result<StructureSummary> SummarizeStructure(
   if (large) {
     LIMBO_OBS_SPAN(dc_span, "double_clustering");
     const std::vector<Dcf> objects = BuildTupleObjects(rel);
-    WeightedRows rows;
-    for (const Dcf& o : objects) {
-      rows.weights.push_back(o.p);
-      rows.rows.push_back(o.cond);
-    }
-    const double info = MutualInformation(rows);
     LimboOptions limbo_options;
     limbo_options.phi = options.phi_t_double_clustering;
-    const std::vector<Dcf> leaves = LimboPhase1(
-        objects, limbo_options,
-        options.phi_t_double_clustering * info /
-            static_cast<double>(objects.size()));
-    LIMBO_ASSIGN_OR_RETURN(labels, LimboPhase3(objects, leaves));
-    num_clusters = leaves.size();
+    VectorDcfStream stream(objects);
+    LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1,
+                           SummarizePhase1(stream, limbo_options));
+    LIMBO_ASSIGN_OR_RETURN(labels, LimboPhase3(objects, phase1.leaves));
+    num_clusters = phase1.leaves.size();
     value_options.tuple_labels = &labels;
     value_options.num_tuple_clusters = num_clusters;
   }

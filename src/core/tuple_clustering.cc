@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/info.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -33,31 +32,22 @@ util::Result<DuplicateTupleReport> FindDuplicateTuples(
   LIMBO_OBS_SPAN(dup_span, "tuple_clustering");
   const std::vector<Dcf> objects = BuildTupleObjects(rel);
 
-  WeightedRows rows;
-  rows.weights.reserve(n);
-  rows.rows.reserve(n);
-  for (const Dcf& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-
-  DuplicateTupleReport report;
-  report.mutual_information = MutualInformation(rows);
-  report.threshold =
-      options.phi_t * report.mutual_information / static_cast<double>(n);
-
   LimboOptions limbo_options;
   limbo_options.phi = options.phi_t;
   limbo_options.branching = options.branching;
   limbo_options.leaf_capacity = options.leaf_capacity;
-  const std::vector<Dcf> leaves =
-      LimboPhase1(objects, limbo_options, report.threshold);
-  report.num_leaves = leaves.size();
+  VectorDcfStream stream(objects);
+  LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1,
+                         SummarizePhase1(stream, limbo_options));
+  DuplicateTupleReport report;
+  report.mutual_information = phase1.mutual_information;
+  report.threshold = phase1.threshold;
+  report.num_leaves = phase1.leaves.size();
 
   // Heavy summaries: leaves that absorbed more than one tuple.
   std::vector<Dcf> heavy;
   const double single = 1.0 / static_cast<double>(n);
-  for (const Dcf& leaf : leaves) {
+  for (const Dcf& leaf : phase1.leaves) {
     if (leaf.p > single * 1.5) heavy.push_back(leaf);
   }
   report.num_heavy_leaves = heavy.size();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/info.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -72,25 +71,17 @@ util::Result<ValueClusteringResult> ClusterValues(
           : BuildValueObjects(rel);
   const size_t d = objects.size();
 
-  WeightedRows rows;
-  rows.weights.reserve(d);
-  rows.rows.reserve(d);
-  for (const Dcf& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-
-  ValueClusteringResult result;
-  result.mutual_information = MutualInformation(rows);
-  result.threshold =
-      options.phi_v * result.mutual_information / static_cast<double>(d);
-
   LimboOptions limbo_options;
   limbo_options.phi = options.phi_v;
   limbo_options.branching = options.branching;
   limbo_options.leaf_capacity = options.leaf_capacity;
-  const std::vector<Dcf> leaves =
-      LimboPhase1(objects, limbo_options, result.threshold);
+  VectorDcfStream stream(objects);
+  LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1,
+                         SummarizePhase1(stream, limbo_options));
+  ValueClusteringResult result;
+  result.mutual_information = phase1.mutual_information;
+  result.threshold = phase1.threshold;
+  const std::vector<Dcf>& leaves = phase1.leaves;
 
   // Phase 3: associate every value with its closest leaf.
   LIMBO_ASSIGN_OR_RETURN(std::vector<uint32_t> labels,

@@ -79,9 +79,10 @@ TEST_P(SeedSweep, Phase1NeverCreatesInformation) {
   for (double phi : {0.0, 0.2, 0.5, 1.0}) {
     LimboOptions options;
     options.phi = phi;
-    const double threshold =
-        phi * total / static_cast<double>(objects.size());
-    const auto leaves = LimboPhase1(objects, options, threshold);
+    VectorDcfStream stream(objects);
+    auto phase1 = SummarizePhase1(stream, options);
+    ASSERT_TRUE(phase1.ok());
+    const std::vector<Dcf>& leaves = phase1->leaves;
     EXPECT_LE(TotalInformation(leaves), total + 1e-9) << "phi=" << phi;
     double mass = 0.0;
     for (const Dcf& leaf : leaves) mass += leaf.p;
@@ -91,15 +92,15 @@ TEST_P(SeedSweep, Phase1NeverCreatesInformation) {
 
 TEST_P(SeedSweep, LeafCountMonotoneInPhi) {
   const auto objects = RandomObjects(60, 30, GetParam());
-  const double total = TotalInformation(objects);
   size_t previous = objects.size() + 1;
   for (double phi : {0.0, 0.1, 0.3, 0.6, 1.2}) {
     LimboOptions options;
     options.phi = phi;
-    const auto leaves = LimboPhase1(
-        objects, options, phi * total / static_cast<double>(objects.size()));
-    EXPECT_LE(leaves.size(), previous) << "phi=" << phi;
-    previous = leaves.size();
+    VectorDcfStream stream(objects);
+    auto phase1 = SummarizePhase1(stream, options);
+    ASSERT_TRUE(phase1.ok());
+    EXPECT_LE(phase1->leaves.size(), previous) << "phi=" << phi;
+    previous = phase1->leaves.size();
   }
 }
 

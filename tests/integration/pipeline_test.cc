@@ -12,7 +12,6 @@
 #include "core/fd_rank.h"
 #include "core/structure_summary.h"
 #include "core/horizontal_partition.h"
-#include "core/info.h"
 #include "core/limbo.h"
 #include "core/measures.h"
 #include "core/tuple_clustering.h"
@@ -41,18 +40,13 @@ relation::Relation SmallDblpProjection() {
 std::vector<uint32_t> SummaryLabels(const relation::Relation& rel,
                                     double phi_t, size_t* num_clusters) {
   const auto objects = core::BuildTupleObjects(rel);
-  core::WeightedRows rows;
-  for (const auto& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
   core::LimboOptions options;
   options.phi = phi_t;
-  const auto leaves = core::LimboPhase1(
-      objects, options, phi_t * info / static_cast<double>(objects.size()));
-  *num_clusters = leaves.size();
-  auto labels = core::LimboPhase3(objects, leaves);
+  core::VectorDcfStream stream(objects);
+  auto phase1 = core::SummarizePhase1(stream, options);
+  EXPECT_TRUE(phase1.ok());
+  *num_clusters = phase1->leaves.size();
+  auto labels = core::LimboPhase3(objects, phase1->leaves);
   EXPECT_TRUE(labels.ok());
   return std::move(labels).value();
 }

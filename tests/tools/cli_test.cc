@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef LIMBO_TOOL_PATH
 #error "LIMBO_TOOL_PATH must be defined by the build"
@@ -261,6 +263,119 @@ TEST(CliTest, PartitionPrintsPhase3OnlyWhenItRan) {
   const RunResult r = RunTool("partition " + TempCsv() + " --k=2");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("phase3="), std::string::npos);
+}
+
+std::string DblpCsv() {
+  static std::string path = [] {
+    std::string p = ::testing::TempDir() + "/limbo_cli_dblp." +
+                    std::to_string(getpid()) + ".csv";
+    const RunResult r = RunTool("generate dblp --tuples=600 --out=" + p);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    return p;
+  }();
+  return path;
+}
+
+std::string PidPath(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "." + std::to_string(getpid());
+}
+
+TEST(CliTest, SummariesWriteTheSameBytesWithAndWithoutStream) {
+  // --stream changes how the CSV is read, never what is written.
+  for (const std::string& csv : {TempCsv(), DblpCsv()}) {
+    SCOPED_TRACE(csv);
+    std::string first;
+    for (const char* arm : {"", " --stream", " --stream --chunk=37"}) {
+      SCOPED_TRACE(arm);
+      const std::string out = PidPath("limbo_cli_summaries.dcf");
+      const RunResult r = RunTool("summaries " + csv + " --phi-t=0.5 --out=" +
+                                  out + arm);
+      ASSERT_EQ(r.exit_code, 0) << r.output;
+      const std::string bytes = ReadFile(out);
+      ASSERT_FALSE(bytes.empty());
+      if (first.empty()) first = bytes;
+      EXPECT_EQ(bytes, first);
+    }
+  }
+}
+
+/// Output lines minus the ones that legitimately differ between the
+/// materialized and streamed runs: wall times and the scan counts.
+std::vector<std::string> StableLines(const std::string& output) {
+  std::vector<std::string> lines;
+  std::istringstream in(output);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("timings", 0) == 0 || line.rfind("streamed:", 0) == 0) {
+      continue;
+    }
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(CliTest, PartitionPrintsTheSameLinesWithAndWithoutStream) {
+  for (const std::string& csv : {TempCsv(), DblpCsv()}) {
+    SCOPED_TRACE(csv);
+    const RunResult materialized = RunTool("partition " + csv + " --k=3");
+    const RunResult streamed =
+        RunTool("partition " + csv + " --k=3 --stream --chunk=37");
+    ASSERT_EQ(materialized.exit_code, 0) << materialized.output;
+    ASSERT_EQ(streamed.exit_code, 0) << streamed.output;
+    EXPECT_NE(streamed.output.find("streamed:"), std::string::npos);
+    EXPECT_EQ(StableLines(streamed.output), StableLines(materialized.output));
+  }
+}
+
+TEST(CliTest, SummariesOnAHeaderOnlyCsvFailsWithATypedError) {
+  const std::string csv = PidPath("limbo_cli_header_only") + ".csv";
+  FILE* f = std::fopen(csv.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("A,B,C\n", f);
+  std::fclose(f);
+  for (const char* arm : {"", " --stream"}) {
+    SCOPED_TRACE(arm);
+    const RunResult r = RunTool("summaries " + csv + " --out=" +
+                                PidPath("limbo_cli_empty.dcf") + arm);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("InvalidArgument"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("needs >= 1 object"), std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(CliTest, MalformedNumericFlagsExit2) {
+  struct Case {
+    std::string args;
+    std::string flag;
+  };
+  const std::string csv = TempCsv();
+  const std::vector<Case> cases = {
+      {"summaries " + csv + " --phi-t=abc", "--phi-t"},
+      {"summaries " + csv + " --phi-t=0.5x", "--phi-t"},
+      {"summaries " + csv + " --phi-t=", "--phi-t"},
+      {"summaries " + csv + " --stream --chunk=-5", "--chunk"},
+      {"partition " + csv + " --k=-1", "--k"},
+      {"partition " + csv + " --k=2.5", "--k"},
+      {"partition " + csv + " --phi=nan", "--phi"},
+      {"partition " + csv + " --phi=1e999", "--phi"},
+      {"partition " + csv + " --max-k=99999999999999999999999", "--max-k"},
+      {"partition " + csv + " --threads=lots", "--threads"},
+      {"approx-fds " + csv + " --epsilon=inf", "--epsilon"},
+      {"keys " + csv + " --max-size=+2", "--max-size"},
+      {"fit " + csv + " --k=ten", "--k"},
+      {"generate dblp --tuples=1e3 --out=" + PidPath("limbo_cli_gen.csv"),
+       "--tuples"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    const std::string command = c.args.substr(0, c.args.find(' '));
+    const RunResult r = RunTool(c.args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("limbo-tool " + command + ": " + c.flag + " "),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 }  // namespace

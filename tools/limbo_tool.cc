@@ -33,10 +33,11 @@
 //
 // partition and summaries additionally accept the streaming-ingest knobs:
 //
-//   --stream          never materialize the relation: pull the CSV in
-//                     chunks through the RowSource pipeline, so peak
-//                     memory is the DCF tree plus one chunk of objects.
-//                     Results are bit-identical to the in-memory path.
+//   --stream          changes only how the input is read: the CSV is
+//                     pulled in chunks through the RowSource pipeline
+//                     instead of materialized, so peak memory is the DCF
+//                     tree plus one chunk of objects. Output is
+//                     bit-identical to the in-memory path.
 //   --stats=<path>    sidecar stats file (schema + value dictionary + row
 //                     count). Loaded when it exists, else written after
 //                     the counting pass so later runs skip that pass.
@@ -57,11 +58,14 @@
 // Unknown flags are rejected with exit code 2 — the doc-consistency
 // check (tools/doc_check.py) relies on that.
 
+#include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -78,7 +82,6 @@
 #include "util/strings.h"
 #include "core/measures.h"
 #include <fstream>
-#include "core/info.h"
 #include "core/tuple_clustering.h"
 #include "fd/approx.h"
 #include "fd/fdep.h"
@@ -102,6 +105,40 @@ namespace {
 
 using namespace limbo;  // NOLINT
 
+/// Strict parse of a real-valued flag: the whole token is one finite
+/// number (what std::atof would silently turn "abc" into 0 for).
+bool ParseReal(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+/// Strict parse of a size flag: every byte a digit (no sign, no
+/// exponent), at most 19 digits so the value fits in 64 bits.
+bool ParseSize(const std::string& text, size_t* out) {
+  if (text.empty() || text.size() > 19) return false;
+  for (const char c : text) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+  }
+  *out = static_cast<size_t>(std::stoull(text));
+  return true;
+}
+
+/// Flags whose values are real numbers or sizes; ValidateFlags rejects a
+/// value these parsers refuse, so the getters below never see one.
+const std::set<std::string> kRealFlags = {
+    "phi",     "phi-t",           "phi-v",          "psi",
+    "epsilon", "schemes-epsilon", "drift-moderate", "drift-severe"};
+const std::set<std::string> kSizeFlags = {
+    "k",           "max-k",           "chunk",  "max-lhs", "max-size",
+    "max-sep",     "max-schemes",     "tuples", "seed",    "threads",
+    "schemes-max-sep"};
+
 struct Args {
   std::string command;
   std::string input;
@@ -109,13 +146,15 @@ struct Args {
 
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    double value = fallback;
+    if (it != flags.end()) ParseReal(it->second, &value);
+    return value;
   }
   size_t GetSize(const std::string& key, size_t fallback) const {
     auto it = flags.find(key);
-    return it == flags.end()
-               ? fallback
-               : static_cast<size_t>(std::atoll(it->second.c_str()));
+    size_t value = fallback;
+    if (it != flags.end()) ParseSize(it->second, &value);
+    return value;
   }
   std::string GetString(const std::string& key,
                         const std::string& fallback) const {
@@ -143,9 +182,9 @@ int Usage() {
   return 2;
 }
 
-/// Rejects flags the selected command does not understand (exit code 2).
-/// Every command additionally accepts the global flags --threads, --report
-/// and --trace.
+/// Rejects flags the selected command does not understand and numeric
+/// flags whose value does not parse (exit code 2). Every command
+/// additionally accepts the global flags --threads, --report and --trace.
 int ValidateFlags(const Args& args) {
   static const std::map<std::string, std::vector<const char*>> kCommandFlags = {
       {"profile", {}},
@@ -173,13 +212,25 @@ int ValidateFlags(const Args& args) {
   auto it = kCommandFlags.find(args.command);
   if (it == kCommandFlags.end()) return Usage();
   for (const auto& [flag, value] : args.flags) {
-    (void)value;
-    if (flag == "threads" || flag == "report" || flag == "trace") continue;
-    bool known = false;
+    bool known = flag == "threads" || flag == "report" || flag == "trace";
     for (const char* f : it->second) known |= (flag == f);
     if (!known) {
       std::fprintf(stderr, "limbo-tool %s: unknown flag --%s\n",
                    args.command.c_str(), flag.c_str());
+      return 2;
+    }
+    double real = 0.0;
+    size_t size = 0;
+    const char* expected = nullptr;
+    if (kRealFlags.count(flag) > 0 && !ParseReal(value, &real)) {
+      expected = "a finite number";
+    } else if (kSizeFlags.count(flag) > 0 && !ParseSize(value, &size)) {
+      expected = "a non-negative integer";
+    }
+    if (expected != nullptr) {
+      std::fprintf(stderr, "limbo-tool %s: --%s must be %s, got \"%s\"\n",
+                   args.command.c_str(), flag.c_str(), expected,
+                   value.c_str());
       return 2;
     }
   }
@@ -484,9 +535,16 @@ core::HorizontalPartitionOptions PartitionOptions(const Args& args) {
   return options;
 }
 
-/// Shared output of the materialized and streamed partition commands —
-/// they print identically apart from the streamed scan-count line.
-int PrintPartitionResult(const core::HorizontalPartitionResult& result) {
+/// Horizontal partitioning of the tuples. The output is identical with
+/// and without --stream apart from the timings and the scan-count line.
+int CmdPartition(core::DcfStream& objects, const Args& args) {
+  auto partition =
+      core::HorizontallyPartitionStream(objects, PartitionOptions(args));
+  if (!partition.ok()) {
+    std::fprintf(stderr, "%s\n", partition.status().ToString().c_str());
+    return 1;
+  }
+  const core::HorizontalPartitionResult& result = *partition;
   std::printf("k = %zu (%zu Phase-1 summaries); candidate ks:",
               result.chosen_k, result.num_leaves);
   for (size_t k : result.candidate_ks) std::printf(" %zu", k);
@@ -534,15 +592,6 @@ int PrintPartitionResult(const core::HorizontalPartitionResult& result) {
   return 0;
 }
 
-int CmdPartition(const relation::Relation& rel, const Args& args) {
-  auto result = core::HorizontallyPartition(rel, PartitionOptions(args));
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  return PrintPartitionResult(*result);
-}
-
 /// Source stats for a streamed command: loads the --stats sidecar when one
 /// exists, otherwise runs the counting pass (and writes the sidecar when
 /// --stats named a path, so the next run skips the pass).
@@ -563,25 +612,63 @@ util::Result<relation::SourceStats> LoadOrCollectStats(
   return stats;
 }
 
-int CmdPartitionStream(const Args& args) {
-  auto source = relation::CsvFileSource::Open(args.input);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+/// Runs `command` over the input's tuple objects. --stream only changes
+/// how they are read: a TupleObjectStream pulls them from the CSV one
+/// chunk at a time (stats from the --stats sidecar or a counting pass), so
+/// the relation is never materialized; otherwise they are built from the
+/// whole relation and served zero-copy. Results are bit-identical.
+int WithTupleObjects(const Args& args,
+                     int (*command)(core::DcfStream&, const Args&)) {
+  if (args.Has("stream")) {
+    auto source = relation::CsvFileSource::Open(args.input);
+    if (!source.ok()) {
+      std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+      return 1;
+    }
+    auto stats = LoadOrCollectStats(*source, args);
+    if (!stats.ok()) {
+      std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
+      return 1;
+    }
+    core::TupleObjectStream objects(*source, *stats);
+    return command(objects, args);
+  }
+  auto rel = relation::ReadCsv(args.input);
+  if (!rel.ok()) {
+    std::fprintf(stderr, "%s\n", rel.status().ToString().c_str());
     return 1;
   }
-  auto stats = LoadOrCollectStats(*source, args);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
+  const std::vector<core::Dcf> tuples = core::BuildTupleObjects(*rel);
+  core::VectorDcfStream objects(tuples);
+  return command(objects, args);
+}
+
+/// Phase-1 summaries of the tuples, saved with the φ_T, I(V;T) and
+/// threshold they were built at.
+int CmdSummaries(core::DcfStream& objects, const Args& args) {
+  core::LimboOptions options;
+  options.phi = args.GetDouble("phi-t", 0.5);
+  options.stream_chunk = args.GetSize("chunk", 0);
+  auto phase1 = core::SummarizePhase1(objects, options);
+  if (!phase1.ok()) {
+    std::fprintf(stderr, "%s\n", phase1.status().ToString().c_str());
     return 1;
   }
-  core::TupleObjectStream objects(*source, *stats);
-  auto result =
-      core::HorizontallyPartitionStream(objects, PartitionOptions(args));
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  const std::string out = args.GetString("out", args.input + ".dcf");
+  core::DcfMeta meta;
+  meta.has_clustering = true;
+  meta.phi = options.phi;
+  meta.mutual_information = phase1->mutual_information;
+  meta.threshold = phase1->threshold;
+  util::Status s = core::SaveDcfs(phase1->leaves, meta, out);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  return PrintPartitionResult(*result);
+  std::printf("wrote %zu Phase-1 summaries (phi_T=%.2f, I=%.4f bits) to %s\n",
+              phase1->leaves.size(), options.phi, phase1->mutual_information,
+              out.c_str());
+  return 0;
 }
 
 int CmdDecompose(const relation::Relation& rel, const Args& args) {
@@ -726,99 +813,6 @@ int CmdReport(const relation::Relation& rel, const Args& args) {
   }
   file << md;
   std::printf("wrote %s (%zu bytes)\n", out.c_str(), md.size());
-  return 0;
-}
-
-int CmdSummaries(const relation::Relation& rel, const Args& args) {
-  const double phi_t = args.GetDouble("phi-t", 0.5);
-  const auto objects = core::BuildTupleObjects(rel);
-  core::WeightedRows rows;
-  for (const auto& o : objects) {
-    rows.weights.push_back(o.p);
-    rows.rows.push_back(o.cond);
-  }
-  const double info = core::MutualInformation(rows);
-  core::LimboOptions options;
-  options.phi = phi_t;
-  const double threshold = phi_t * info / static_cast<double>(objects.size());
-  const auto leaves = core::LimboPhase1(objects, options, threshold);
-  const std::string out = args.GetString("out", args.input + ".dcf");
-  core::DcfMeta meta;
-  meta.has_clustering = true;
-  meta.phi = phi_t;
-  meta.mutual_information = info;
-  meta.threshold = threshold;
-  util::Status s = core::SaveDcfs(leaves, meta, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %zu Phase-1 summaries (phi_T=%.2f, I=%.4f bits) to %s\n",
-              leaves.size(), phi_t, info, out.c_str());
-  return 0;
-}
-
-/// Streamed Phase-1 summaries: two I(V;T) scans through the accumulator,
-/// then one Phase-1 insert scan. Only the stats, the DCF tree and one
-/// chunk of objects are ever resident; leaves and the printed message are
-/// bit-identical to CmdSummaries.
-int CmdSummariesStream(const Args& args) {
-  const double phi_t = args.GetDouble("phi-t", 0.5);
-  auto source = relation::CsvFileSource::Open(args.input);
-  if (!source.ok()) {
-    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
-    return 1;
-  }
-  auto stats = LoadOrCollectStats(*source, args);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  core::TupleObjectStream objects(*source, *stats);
-  const size_t chunk = args.GetSize("chunk", 4096);
-  auto scan = [&](auto&& fn) -> util::Status {
-    while (true) {
-      auto part = objects.NextChunk(chunk);
-      if (!part.ok()) return part.status();
-      if (part->empty()) break;
-      for (const core::Dcf& o : *part) fn(o);
-    }
-    return objects.Reset();
-  };
-  core::MutualInformationAccumulator info;
-  util::Status s =
-      scan([&](const core::Dcf& o) { info.AddMarginal(o.p, o.cond); });
-  if (s.ok()) {
-    s = scan([&](const core::Dcf& o) { info.AddInformation(o.p, o.cond); });
-  }
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  const double mi = info.Value();
-  core::LimboOptions options;
-  options.phi = phi_t;
-  const double threshold = phi_t * mi / static_cast<double>(stats->num_rows);
-  core::Phase1Builder builder(options, threshold);
-  s = scan([&](const core::Dcf& o) { builder.Insert(o); });
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  const auto leaves = builder.Leaves();
-  const std::string out = args.GetString("out", args.input + ".dcf");
-  core::DcfMeta meta;
-  meta.has_clustering = true;
-  meta.phi = phi_t;
-  meta.mutual_information = mi;
-  meta.threshold = threshold;
-  s = core::SaveDcfs(leaves, meta, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %zu Phase-1 summaries (phi_T=%.2f, I=%.4f bits) to %s\n",
-              leaves.size(), phi_t, mi, out.c_str());
   return 0;
 }
 
@@ -1009,13 +1003,13 @@ int CmdGenerate(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) return Usage();
+  if (int rc = ValidateFlags(args); rc != 0) return rc;
   // --threads=N applies to every command: publish it as LIMBO_THREADS so
   // all thread-count resolution (util::DefaultThreadCount) sees it. Must
   // happen before any clustering call caches the value.
   if (args.Has("threads")) {
     setenv("LIMBO_THREADS", args.GetString("threads", "1").c_str(), 1);
   }
-  if (int rc = ValidateFlags(args); rc != 0) return rc;
   if (args.Has("trace")) obs::SetTraceEcho(true);
   g_collect_report = args.Has("report");
   if (g_collect_report) {
@@ -1037,11 +1031,10 @@ int main(int argc, char** argv) {
     rc = CmdRefit(args);
   } else if (args.command == "inspect") {
     rc = CmdInspect(args);
-  } else if (args.Has("stream")) {
-    // Streamed commands never materialize the relation — the whole point
-    // is that peak memory stays at the DCF tree plus one chunk.
-    if (args.command == "partition") rc = CmdPartitionStream(args);
-    if (args.command == "summaries") rc = CmdSummariesStream(args);
+  } else if (args.command == "partition") {
+    rc = WithTupleObjects(args, CmdPartition);
+  } else if (args.command == "summaries") {
+    rc = WithTupleObjects(args, CmdSummaries);
   } else {
     auto rel = relation::ReadCsv(args.input);
     if (!rel.ok()) {
@@ -1058,9 +1051,7 @@ int main(int argc, char** argv) {
     if (args.command == "keys") rc = CmdKeys(*rel, args);
     if (args.command == "rank") rc = CmdRank(*rel, args);
     if (args.command == "schemes") rc = CmdSchemes(*rel, args);
-    if (args.command == "partition") rc = CmdPartition(*rel, args);
     if (args.command == "decompose") rc = CmdDecompose(*rel, args);
-    if (args.command == "summaries") rc = CmdSummaries(*rel, args);
     if (args.command == "report") rc = CmdReport(*rel, args);
     if (args.command == "fit") rc = CmdFit(*rel, args);
   }
