@@ -5,7 +5,6 @@
 #include "core/limbo.h"
 #include "core/measures.h"
 #include "obs/trace.h"
-#include "fd/fdep.h"
 #include "fd/min_cover.h"
 #include "fd/tane.h"
 #include "util/strings.h"
@@ -65,13 +64,8 @@ util::Result<StructureSummary> SummarizeStructure(
   std::vector<fd::FunctionalDependency> fds;
   {
     LIMBO_OBS_SPAN(mine_span, "fd_mining");
-    if (large) {
-      fd::TaneOptions tane_options;
-      tane_options.min_lhs = 1;
-      LIMBO_ASSIGN_OR_RETURN(fds, fd::Tane::Mine(rel, tane_options));
-    } else {
-      LIMBO_ASSIGN_OR_RETURN(fds, fd::Fdep::Mine(rel));
-    }
+    LIMBO_ASSIGN_OR_RETURN(
+        fds, fd::MineMinimalFds(rel, options.large_relation_threshold));
   }
   summary.num_fds = fds.size();
   const auto cover = fd::MinimumCover(fds, /*merge_same_lhs=*/false);

@@ -8,6 +8,7 @@
 #include "core/fd_rank.h"
 #include "core/tuple_clustering.h"
 #include "core/value_clustering.h"
+#include "fd/tane.h"
 #include "relation/stats.h"
 #include "util/result.h"
 
@@ -23,7 +24,7 @@ struct StructureSummaryOptions {
   double psi = 0.5;
   /// Above this tuple count, FDs are mined with TANE instead of FDEP and
   /// Double Clustering is used for the value stage.
-  size_t large_relation_threshold = 2000;
+  size_t large_relation_threshold = fd::kFdepMaxTuples;
   /// φ_T for the Double-Clustering tuple summaries on large relations.
   double phi_t_double_clustering = 0.5;
 };

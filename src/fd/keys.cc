@@ -1,81 +1,29 @@
 #include "fd/keys.h"
 
 #include <algorithm>
-#include <bit>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "fd/partition.h"
+#include "fd/lattice.h"
 
 namespace limbo::fd {
 
 util::Result<std::vector<AttributeSet>> MineMinimalKeys(
     const relation::Relation& rel, const KeyMinerOptions& options) {
   std::vector<AttributeSet> keys;
-  const size_t n = rel.NumTuples();
   const size_t m = rel.NumAttributes();
-  if (m == 0) return keys;
-  if (n <= 1) {
-    // Every attribute set (even the empty one, represented here by each
-    // singleton) is trivially a key; report the canonical minimal answer.
-    for (size_t a = 0; a < m; ++a) {
-      keys.push_back(AttributeSet::Single(static_cast<uint32_t>(a)));
-    }
-    return keys;
-  }
   const size_t max_size = options.max_size == 0 ? m : options.max_size;
 
-  std::unordered_map<AttributeSet, StrippedPartition> level;
-  for (size_t a = 0; a < m; ++a) {
-    const auto attr = static_cast<relation::AttributeId>(a);
-    StrippedPartition p = StrippedPartition::ForAttribute(rel, attr);
-    if (p.IsSuperkey()) {
-      keys.push_back(AttributeSet::Single(attr));
-    } else {
-      level.emplace(AttributeSet::Single(attr), std::move(p));
-    }
-  }
-
-  size_t ell = 1;
-  while (!level.empty() && ell < max_size) {
-    // Prefix join; candidates containing a known key are never generated
-    // because keys were removed from the level when found.
-    std::vector<AttributeSet> members;
-    for (const auto& [x, p] : level) members.push_back(x);
-    std::sort(members.begin(), members.end());
-    std::unordered_set<AttributeSet> alive(members.begin(), members.end());
-    std::unordered_map<AttributeSet, std::vector<AttributeSet>> by_prefix;
-    for (AttributeSet x : members) {
-      const auto top =
-          static_cast<relation::AttributeId>(63 - std::countl_zero(x.bits()));
-      by_prefix[x.Without(top)].push_back(x);
-    }
-    std::unordered_map<AttributeSet, StrippedPartition> next;
-    for (auto& [prefix, group] : by_prefix) {
-      std::sort(group.begin(), group.end());
-      for (size_t i = 0; i < group.size(); ++i) {
-        for (size_t j = i + 1; j < group.size(); ++j) {
-          const AttributeSet z = group[i].Union(group[j]);
-          bool all_alive = true;
-          for (relation::AttributeId a : z.ToList()) {
-            if (!alive.contains(z.Without(a))) {
-              all_alive = false;
-              break;
-            }
-          }
-          if (!all_alive) continue;
-          StrippedPartition p = StrippedPartition::Product(
-              level.at(group[i]), level.at(group[j]), n);
-          if (p.IsSuperkey()) {
-            keys.push_back(z);
-          } else {
-            next.emplace(z, std::move(p));
-          }
-        }
+  // A key found leaves the join, so no candidate containing it is formed.
+  // With n <= 1 every set is a key, even ∅; each singleton is reported.
+  PartitionLattice lattice(rel);
+  for (size_t ell = 1; !lattice.level().empty(); ++ell) {
+    for (size_t i = 0; i < lattice.level().size(); ++i) {
+      if (lattice.level()[i].partition.IsSuperkey()) {
+        keys.push_back(lattice.level()[i].set);
+        lattice.Drop(i);
       }
     }
-    level = std::move(next);
-    ++ell;
+    if (ell >= max_size) break;
+    lattice.Advance();
   }
 
   std::sort(keys.begin(), keys.end());

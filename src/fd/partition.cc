@@ -27,65 +27,85 @@ StrippedPartition StrippedPartition::ForAttribute(
 StrippedPartition StrippedPartition::Product(const StrippedPartition& a,
                                              const StrippedPartition& b,
                                              size_t n) {
-  // Standard TANE probe-table product. `owner[t]` maps tuple t to its
-  // class index in `a` (or -1).
-  std::vector<int32_t> owner(n, -1);
+  PartitionProbe probe;
+  probe.Load(a, n);
+  return probe.Product(b);
+}
+
+void PartitionProbe::Load(const StrippedPartition& a, size_t n) {
+  owner_.assign(n, -1);
   for (size_t i = 0; i < a.classes_.size(); ++i) {
     for (relation::TupleId t : a.classes_[i]) {
-      owner[t] = static_cast<int32_t>(i);
+      owner_[t] = static_cast<int32_t>(i);
     }
   }
-  std::vector<std::vector<relation::TupleId>> bins(a.classes_.size());
+  counts_.assign(a.NumClasses(), 0);
+  slot_.assign(a.NumClasses(), -1);
+  covered_ = a.covered_;
+}
+
+template <typename Meet>
+void PartitionProbe::ForEachMeet(const std::vector<relation::TupleId>& cls,
+                                 Meet meet) {
+  for (relation::TupleId t : cls) {
+    const int32_t c = owner_[t];
+    if (c >= 0) ++counts_[c];
+  }
+  // Report every touched counter once and zero it, so the next class
+  // (and the next call) starts from a clean table.
+  for (relation::TupleId t : cls) {
+    const int32_t c = owner_[t];
+    if (c < 0 || counts_[c] == 0) continue;
+    meet(c, counts_[c]);
+    counts_[c] = 0;
+  }
+}
+
+StrippedPartition PartitionProbe::Product(const StrippedPartition& b) {
   StrippedPartition out;
+  auto& classes = out.classes_;
   for (const auto& cls : b.classes_) {
-    // Scatter this b-class into per-a-class bins.
+    const size_t first = classes.size();
+    ForEachMeet(cls, [&](int32_t c, uint32_t size) {
+      if (size < 2) return;
+      slot_[c] = static_cast<int32_t>(classes.size());
+      classes.emplace_back().reserve(size);
+      out.covered_ += size;
+    });
+    if (classes.size() == first) continue;
     for (relation::TupleId t : cls) {
-      const int32_t o = owner[t];
-      if (o >= 0) bins[o].push_back(t);
+      const int32_t c = owner_[t];
+      if (c >= 0 && slot_[c] >= 0) classes[slot_[c]].push_back(t);
     }
-    // Harvest bins with >= 2 members; clear the rest.
-    for (relation::TupleId t : cls) {
-      const int32_t o = owner[t];
-      if (o < 0) continue;
-      auto& bin = bins[o];
-      if (bin.empty()) continue;  // already harvested or cleared
-      if (bin.size() >= 2) {
-        out.covered_ += bin.size();
-        out.classes_.push_back(std::move(bin));
-      }
-      bin.clear();
+    for (size_t k = first; k < classes.size(); ++k) {
+      slot_[owner_[classes[k].front()]] = -1;
     }
   }
   return out;
 }
 
-void ProductCounter::Load(const StrippedPartition& a, size_t n) {
-  owner_.assign(n, -1);
-  for (size_t i = 0; i < a.classes().size(); ++i) {
-    for (relation::TupleId t : a.classes()[i]) {
-      owner_[t] = static_cast<int32_t>(i);
-    }
-  }
-  counts_.assign(a.NumClasses(), 0);
-}
-
-void ProductCounter::Count(const StrippedPartition& b,
+void PartitionProbe::Count(const StrippedPartition& b,
                            std::vector<uint64_t>* sizes) {
   sizes->clear();
-  for (const auto& cls : b.classes()) {
-    for (relation::TupleId t : cls) {
-      const int32_t o = owner_[t];
-      if (o >= 0) ++counts_[o];
-    }
-    // Harvest counters of >= 2 and zero every touched one, so the next
-    // class (and the next Count) starts from a clean table.
-    for (relation::TupleId t : cls) {
-      const int32_t o = owner_[t];
-      if (o < 0 || counts_[o] == 0) continue;
-      if (counts_[o] >= 2) sizes->push_back(counts_[o]);
-      counts_[o] = 0;
-    }
+  for (const auto& cls : b.classes_) {
+    ForEachMeet(cls, [sizes](int32_t, uint32_t size) {
+      if (size >= 2) sizes->push_back(size);
+    });
   }
+}
+
+uint64_t PartitionProbe::G3Kept(const StrippedPartition& b) {
+  // A probe class keeps at least one tuple even when all of its tuples
+  // are π_b singletons.
+  std::vector<uint32_t> largest(counts_.size(), 1);
+  for (const auto& cls : b.classes_) {
+    ForEachMeet(cls, [&largest](int32_t c, uint32_t size) {
+      largest[c] = std::max(largest[c], size);
+    });
+  }
+  uint64_t kept = owner_.size() - covered_;
+  for (uint32_t size : largest) kept += size;
+  return kept;
 }
 
 }  // namespace limbo::fd

@@ -41,29 +41,43 @@ class StrippedPartition {
   bool IsSuperkey() const { return classes_.empty(); }
 
  private:
+  friend class PartitionProbe;
+
   std::vector<std::vector<relation::TupleId>> classes_;
   size_t covered_ = 0;
 };
 
-/// Count-only sibling of StrippedPartition::Product: the class sizes of
-/// π_a · π_b without their tuple lists. It runs Product's probe table with
-/// one counter per probe class in place of Product's bins. The scratch is
-/// kept between calls, so counting many products over one relation
-/// allocates once, and one loaded probe can be counted against several
-/// partitions (siblings π_a · π_b, π_a · π_c, ...) for one table fill.
-class ProductCounter {
+/// TANE's probe table: a loaded π_a indexed tuple -> class, met against
+/// other partitions π_b of the same relation. One Load serves any number
+/// of siblings π_a · π_b, π_a · π_c, ..., and the scratch is kept between
+/// Loads, so a probe reused over one relation allocates once.
+class PartitionProbe {
  public:
   /// Makes `a` the probe side; `n` is the relation's tuple count.
   void Load(const StrippedPartition& a, size_t n);
 
-  /// Replaces `*sizes` with the sizes (each >= 2) of the stripped classes
-  /// of probe · b, in the order Product would emit those classes. `b`
-  /// must partition the relation the last Load was given.
+  /// π_a · π_b. Classes come in the order of the π_b classes they lie
+  /// in, then of their first tuple there; tuples keep π_b's order.
+  StrippedPartition Product(const StrippedPartition& b);
+
+  /// Replaces `*sizes` with the class sizes (each >= 2) of π_a · π_b, in
+  /// the order Product emits those classes.
   void Count(const StrippedPartition& b, std::vector<uint64_t>* sizes);
 
+  /// n · (1 - g3(a → b)): the tuples left when each π_a class keeps only
+  /// its largest subgroup that agrees under π_b.
+  uint64_t G3Kept(const StrippedPartition& b);
+
  private:
+  /// Calls `meet(c, size)` for each probe class c sharing `size` tuples
+  /// with `cls`, in the order of c's first tuple in `cls`.
+  template <typename Meet>
+  void ForEachMeet(const std::vector<relation::TupleId>& cls, Meet meet);
+
   std::vector<int32_t> owner_;    // tuple -> probe class, or -1
-  std::vector<uint32_t> counts_;  // per probe class; all 0 between Counts
+  std::vector<uint32_t> counts_;  // per probe class; all 0 between meets
+  std::vector<int32_t> slot_;     // per probe class; Product's scratch
+  size_t covered_ = 0;            // tuples in the probe's classes
 };
 
 }  // namespace limbo::fd

@@ -31,6 +31,15 @@ class Tane {
       const relation::Relation& rel, const TaneOptions& options = TaneOptions());
 };
 
+/// The FDEP/TANE crossover: the most tuples FDEP's O(n²) pair scan is
+/// given before TANE takes over.
+inline constexpr size_t kFdepMaxTuples = 2000;
+
+/// Minimal exact FDs by the miner suited to the relation's size: Fdep::Mine
+/// up to `fdep_max_tuples` tuples, above that Tane::Mine with min_lhs = 1.
+util::Result<std::vector<FunctionalDependency>> MineMinimalFds(
+    const relation::Relation& rel, size_t fdep_max_tuples = kFdepMaxTuples);
+
 }  // namespace limbo::fd
 
 #endif  // LIMBO_FD_TANE_H_

@@ -11,7 +11,6 @@
 #include "core/limbo.h"
 #include "core/value_clustering.h"
 #include "fd/closure.h"
-#include "fd/fdep.h"
 #include "fd/min_cover.h"
 #include "fd/tane.h"
 #include "obs/counters.h"
@@ -152,14 +151,8 @@ util::Status RefreshDerivedStructure(const ModelBundle& parent,
       parent_fds.push_back({r.fd.lhs, fd::AttributeSet::Single(a)});
     }
   }
-  std::vector<fd::FunctionalDependency> mined;
-  if (absorbed.NumTuples() > 2000) {
-    fd::TaneOptions tane_options;
-    tane_options.min_lhs = 1;
-    LIMBO_ASSIGN_OR_RETURN(mined, fd::Tane::Mine(absorbed, tane_options));
-  } else {
-    LIMBO_ASSIGN_OR_RETURN(mined, fd::Fdep::Mine(absorbed));
-  }
+  LIMBO_ASSIGN_OR_RETURN(const std::vector<fd::FunctionalDependency> mined,
+                         fd::MineMinimalFds(absorbed));
   std::vector<fd::FunctionalDependency> kept;
   auto push_unique = [&kept](const fd::FunctionalDependency& f) {
     for (const fd::FunctionalDependency& k : kept) {

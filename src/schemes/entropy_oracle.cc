@@ -45,7 +45,7 @@ struct TrieWalk {
   size_t n;
   const std::vector<AttributeList>& lists;
   const std::vector<size_t>& order;
-  fd::ProductCounter& counter;
+  fd::PartitionProbe& probe;
   double* entropies;
   std::vector<uint64_t> sizes;
 
@@ -68,9 +68,9 @@ struct TrieWalk {
       size_t e = g + 1;
       while (e < hi && lists[order[e]][depth] == b) ++e;
       if (e - g == 1 && lists[order[g]].size() == depth + 1) {
-        if (!probed) counter.Load(node, n);
+        if (!probed) probe.Load(node, n);
         probed = true;
-        counter.Count(singles[b], &sizes);
+        probe.Count(singles[b], &sizes);
         entropies[order[g]] = EntropyFromCounts(sizes, n);
       } else {
         inner.emplace_back(g, e);
@@ -93,7 +93,7 @@ EntropyOracle::EntropyOracle(relation::RowSource& source,
       options_(options),
       pool_(options.threads),
       num_attributes_(source.schema().NumAttributes()),
-      counters_(pool_.threads()) {}
+      probes_(pool_.threads()) {}
 
 util::Result<double> EntropyOracle::H(fd::AttributeSet x) {
   std::vector<fd::AttributeSet> one{x};
@@ -192,7 +192,7 @@ void EntropyOracle::Resolve(const std::vector<fd::AttributeSet>& sets,
   pool_.ParallelFor(
       0, bounds.size() - 1, /*grain=*/1,
       [&](size_t lo, size_t hi, size_t lane) {
-        TrieWalk walk{singles_, num_rows_, lists, order, counters_[lane],
+        TrieWalk walk{singles_, num_rows_, lists, order, probes_[lane],
                       entropies, {}};
         for (size_t t = lo; t < hi; ++t) {
           const relation::AttributeId a = lists[order[bounds[t]]][0];

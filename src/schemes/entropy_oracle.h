@@ -44,7 +44,7 @@ struct EntropyOracleOptions {
 /// a = X's highest attribute. A batch's missing sets are walked as a
 /// prefix trie, depth first: only proper prefixes of requested sets are
 /// materialized (at most m live per lane), and a requested set that
-/// extends no other is only counted (fd::ProductCounter). Subtrees under
+/// extends no other is only counted (fd::PartitionProbe). Subtrees under
 /// different first attributes fan out over util::ThreadPool at grain 1.
 /// H comes from EntropyFromCounts over the non-singleton class sizes;
 /// singletons add exactly 0.0 to its sorted sum, so each result is exact
@@ -100,7 +100,7 @@ class EntropyOracle {
   uint64_t num_rows_ = 0;
   bool loaded_ = false;
   std::vector<fd::StrippedPartition> singles_;  // π_a for every attribute a
-  std::vector<fd::ProductCounter> counters_;    // one per lane
+  std::vector<fd::PartitionProbe> probes_;      // one per lane
   Stats stats_;
 
   // LRU memo: map from subset bits to (entropy, position in the recency

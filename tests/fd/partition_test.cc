@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "fd/fd.h"
 #include "testing/make_relation.h"
 #include "util/random.h"
 
@@ -97,27 +100,78 @@ std::vector<uint64_t> SortedSizes(const StrippedPartition& p) {
   return sizes;
 }
 
-std::vector<uint64_t> CountedSizes(ProductCounter& counter,
+std::vector<uint64_t> CountedSizes(PartitionProbe& probe,
                                    const StrippedPartition& a,
                                    const StrippedPartition& b, size_t n) {
-  counter.Load(a, n);
+  probe.Load(a, n);
   std::vector<uint64_t> sizes{99};  // Count must replace, not append
-  counter.Count(b, &sizes);
+  probe.Count(b, &sizes);
   std::sort(sizes.begin(), sizes.end());
   return sizes;
 }
 
-/// Counts a · b with `counter` and checks it against Product's classes.
-void ExpectCountMatchesProduct(ProductCounter& counter,
+/// Counts a · b with `probe` and checks it against Product's classes.
+void ExpectCountMatchesProduct(PartitionProbe& probe,
                                const StrippedPartition& a,
                                const StrippedPartition& b, size_t n) {
-  EXPECT_EQ(CountedSizes(counter, a, b, n),
+  EXPECT_EQ(CountedSizes(probe, a, b, n),
             SortedSizes(StrippedPartition::Product(a, b, n)));
 }
 
+using Classes = std::vector<std::vector<relation::TupleId>>;
+
+/// The stripped classes of `rel` under `x`, grouped straight from the
+/// rows, each and all sorted.
+Classes GroupedClasses(const relation::Relation& rel, AttributeSet x) {
+  std::map<std::vector<relation::ValueId>, std::vector<relation::TupleId>>
+      groups;
+  for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
+    std::vector<relation::ValueId> key;
+    for (relation::AttributeId a : x.ToList()) key.push_back(rel.At(t, a));
+    groups[key].push_back(t);
+  }
+  Classes out;
+  for (auto& [key, tuples] : groups) {
+    if (tuples.size() >= 2) out.push_back(tuples);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Classes SortedClasses(const StrippedPartition& p) {
+  Classes out = p.classes();
+  for (auto& cls : out) std::sort(cls.begin(), cls.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Meets π_x (`a`) with π_y (`b`) through one probe load and checks each
+/// path: Product against the rows grouped under x ∪ y, Count against
+/// Product's class sizes in order, and G3Kept against fd::G3Error(x → y).
+void ExpectProbeMatches(PartitionProbe& probe, const relation::Relation& rel,
+                        AttributeSet x, const StrippedPartition& a,
+                        AttributeSet y, const StrippedPartition& b) {
+  SCOPED_TRACE(x.ToString(rel.schema()) + " . " + y.ToString(rel.schema()));
+  const size_t n = rel.NumTuples();
+  probe.Load(a, n);
+  const StrippedPartition product = probe.Product(b);
+  const Classes grouped = GroupedClasses(rel, x.Union(y));
+  EXPECT_EQ(SortedClasses(product), grouped);
+  size_t covered = 0;
+  for (const auto& cls : grouped) covered += cls.size();
+  EXPECT_EQ(product.CoveredTuples(), covered);
+  std::vector<uint64_t> sizes;
+  probe.Count(b, &sizes);
+  std::vector<uint64_t> product_sizes;
+  for (const auto& cls : product.classes()) product_sizes.push_back(cls.size());
+  EXPECT_EQ(sizes, product_sizes);
+  const double removed = G3Error(rel, {x, y}) * static_cast<double>(n);
+  EXPECT_EQ(probe.G3Kept(b), n - static_cast<uint64_t>(std::llround(removed)));
+}
+
 TEST(ProductCounterTest, MatchesProductOnRandomRelations) {
-  // One counter across every product: reused scratch must not leak.
-  ProductCounter counter;
+  // One probe across every product: reused scratch must not leak.
+  PartitionProbe probe;
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     util::Random rng(seed);
     const size_t rows = 1 + rng.Uniform(300);
@@ -129,50 +183,51 @@ TEST(ProductCounterTest, MatchesProductOnRandomRelations) {
     }
     const auto rel = MakeRelation({"A", "B", "C"}, data);
     const size_t n = rel.NumTuples();
+    std::vector<AttributeSet> sets;
     std::vector<StrippedPartition> p;
     for (relation::AttributeId a = 0; a < 3; ++a) {
+      sets.push_back(AttributeSet::Single(a));
       p.push_back(StrippedPartition::ForAttribute(rel, a));
     }
-    for (size_t a = 0; a < 3; ++a) {
-      for (size_t b = 0; b < 3; ++b) {
-        ExpectCountMatchesProduct(counter, p[a], p[b], n);
+    sets.push_back(sets[0].Union(sets[1]));
+    p.push_back(StrippedPartition::Product(p[0], p[1], n));
+    for (size_t x = 0; x < p.size(); ++x) {
+      for (size_t y = 0; y < p.size(); ++y) {
+        ExpectProbeMatches(probe, rel, sets[x], p[x], sets[y], p[y]);
       }
     }
-    const auto ab = StrippedPartition::Product(p[0], p[1], n);
-    ExpectCountMatchesProduct(counter, ab, p[2], n);
-    ExpectCountMatchesProduct(counter, p[2], ab, n);
   }
 }
 
 TEST(ProductCounterTest, EdgeCases) {
-  ProductCounter counter;
+  PartitionProbe probe;
   // n = 0.
   const auto empty = MakeRelation({"A", "B"}, {});
-  ExpectCountMatchesProduct(counter,
+  ExpectCountMatchesProduct(probe,
                             StrippedPartition::ForAttribute(empty, 0),
                             StrippedPartition::ForAttribute(empty, 1), 0);
   // All singletons: both sides are keys, nothing survives.
   const auto keys = MakeRelation({"A", "B"}, {{"1", "x"}, {"2", "y"}});
   const auto ka = StrippedPartition::ForAttribute(keys, 0);
   const auto kb = StrippedPartition::ForAttribute(keys, 1);
-  EXPECT_TRUE(CountedSizes(counter, ka, kb, 2).empty());
-  ExpectCountMatchesProduct(counter, ka, kb, 2);
+  EXPECT_TRUE(CountedSizes(probe, ka, kb, 2).empty());
+  ExpectCountMatchesProduct(probe, ka, kb, 2);
   // One class: constant columns.
   const auto constant =
       MakeRelation({"A", "B"}, {{"c", "d"}, {"c", "d"}, {"c", "d"}});
   const auto ca = StrippedPartition::ForAttribute(constant, 0);
   const auto cb = StrippedPartition::ForAttribute(constant, 1);
-  EXPECT_EQ(CountedSizes(counter, ca, cb, 3), std::vector<uint64_t>{3});
-  ExpectCountMatchesProduct(counter, ca, cb, 3);
+  EXPECT_EQ(CountedSizes(probe, ca, cb, 3), std::vector<uint64_t>{3});
+  ExpectCountMatchesProduct(probe, ca, cb, 3);
   // Disjoint coverage: A's classes cover tuples 0-3, B's cover 4-7.
   const auto disjoint = MakeRelation(
       {"A", "B"}, {{"x", "1"}, {"x", "2"}, {"y", "3"}, {"y", "4"},
                    {"5", "p"}, {"6", "p"}, {"7", "q"}, {"8", "q"}});
   const auto da = StrippedPartition::ForAttribute(disjoint, 0);
   const auto db = StrippedPartition::ForAttribute(disjoint, 1);
-  EXPECT_TRUE(CountedSizes(counter, da, db, 8).empty());
-  ExpectCountMatchesProduct(counter, da, db, 8);
-  ExpectCountMatchesProduct(counter, db, da, 8);
+  EXPECT_TRUE(CountedSizes(probe, da, db, 8).empty());
+  ExpectCountMatchesProduct(probe, da, db, 8);
+  ExpectCountMatchesProduct(probe, db, da, 8);
 }
 
 TEST(ProductCounterTest, OneProbeCountsManyPartitionsWithoutLeaking) {
@@ -186,14 +241,14 @@ TEST(ProductCounterTest, OneProbeCountsManyPartitionsWithoutLeaking) {
   const auto pa = StrippedPartition::ForAttribute(rel, 0);
   const auto pb = StrippedPartition::ForAttribute(rel, 1);
   const auto pc = StrippedPartition::ForAttribute(rel, 2);
-  ProductCounter counter;
-  counter.Load(pa, n);
+  PartitionProbe probe;
+  probe.Load(pa, n);
   std::vector<uint64_t> sizes;
   for (int round = 0; round < 2; ++round) {
-    counter.Count(pb, &sizes);
+    probe.Count(pb, &sizes);
     std::sort(sizes.begin(), sizes.end());
     EXPECT_EQ(sizes, SortedSizes(StrippedPartition::Product(pa, pb, n)));
-    counter.Count(pc, &sizes);
+    probe.Count(pc, &sizes);
     std::sort(sizes.begin(), sizes.end());
     EXPECT_EQ(sizes, SortedSizes(StrippedPartition::Product(pa, pc, n)));
   }

@@ -115,6 +115,21 @@ TEST(CliTest, Keys) {
   const RunResult r = RunTool("keys " + TempCsv() + " --max-size=2");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("[EmpNo,ProjNo]"), std::string::npos);
+  EXPECT_NE(r.output.find("(width <= 2):"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, KeysWithoutAWidthBoundSaysSo) {
+  // --max-size=0 means no bound, so the header must not claim width <= 0
+  // above the width-1 key [C].
+  const std::string csv = ::testing::TempDir() + "/limbo_cli_keys." +
+                          std::to_string(getpid()) + ".csv";
+  FILE* f = std::fopen(csv.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("A,B,C\n1,2,3\n1,2,4\n", f);
+  std::fclose(f);
+  const RunResult r = RunTool("keys " + csv + " --max-size=0");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output, "# 1 minimal keys (any width):\n[C]\n");
 }
 
 TEST(CliTest, RankShowsAnchoredDeptFd) {

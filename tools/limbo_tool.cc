@@ -84,7 +84,6 @@
 #include <fstream>
 #include "core/tuple_clustering.h"
 #include "fd/approx.h"
-#include "fd/fdep.h"
 #include "fd/min_cover.h"
 #include "fd/keys.h"
 #include "fd/mvd.h"
@@ -293,18 +292,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-/// Mines FDs with the requested (or size-appropriate) miner.
-util::Result<std::vector<fd::FunctionalDependency>> MineFds(
-    const relation::Relation& rel, const std::string& miner) {
-  if (miner == "fdep" ||
-      (miner == "auto" && rel.NumTuples() <= 2000)) {
-    return fd::Fdep::Mine(rel);
-  }
-  fd::TaneOptions options;
-  options.min_lhs = 1;
-  return fd::Tane::Mine(rel, options);
-}
-
 int CmdProfile(const relation::Relation& rel, const Args&) {
   std::printf("%s", relation::Profile(rel).ToString().c_str());
   return 0;
@@ -380,7 +367,12 @@ int CmdValues(const relation::Relation& rel, const Args& args) {
 }
 
 int CmdFds(const relation::Relation& rel, const Args& args) {
-  auto fds = MineFds(rel, args.GetString("miner", "auto"));
+  // fdep and auto aside, any --miner value means TANE.
+  const std::string miner = args.GetString("miner", "auto");
+  const size_t fdep_max_tuples = miner == "fdep"   ? SIZE_MAX
+                                 : miner == "auto" ? fd::kFdepMaxTuples
+                                                   : 0;
+  auto fds = fd::MineMinimalFds(rel, fdep_max_tuples);
   if (!fds.ok()) {
     std::fprintf(stderr, "%s\n", fds.status().ToString().c_str());
     return 1;
@@ -440,8 +432,10 @@ int CmdKeys(const relation::Relation& rel, const Args& args) {
     std::fprintf(stderr, "%s\n", keys.status().ToString().c_str());
     return 1;
   }
-  std::printf("# %zu minimal keys (width <= %zu):\n", keys->size(),
-              options.max_size);
+  const std::string width =
+      options.max_size == 0 ? "any width"
+                            : util::StrFormat("width <= %zu", options.max_size);
+  std::printf("# %zu minimal keys (%s):\n", keys->size(), width.c_str());
   for (fd::AttributeSet key : *keys) {
     std::printf("%s\n", key.ToString(rel.schema()).c_str());
   }
