@@ -16,19 +16,26 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Dense symmetric distance store over active cluster *slots*. Merged
-/// clusters reuse the slot of their left input; the right slot is retired.
+/// Symmetric distance store over cluster *slots*, packed as the strict
+/// upper triangle in row-major order: q(q-1)/2 doubles, with cell (i, j),
+/// i < j, at i·q - i(i+1)/2 + j - i - 1. Merged clusters reuse the slot
+/// of their left input; the right slot is retired.
 class SlotMatrix {
  public:
-  explicit SlotMatrix(size_t q) : q_(q), d_(q * q, 0.0) {}
+  explicit SlotMatrix(size_t q) : q_(q), d_(q * (q - 1) / 2, 0.0) {}
 
-  double Get(size_t i, size_t j) const { return d_[i * q_ + j]; }
-  void Set(size_t i, size_t j, double v) {
-    d_[i * q_ + j] = v;
-    d_[j * q_ + i] = v;
-  }
+  double Get(size_t i, size_t j) const { return d_[Index(i, j)]; }
+  void Set(size_t i, size_t j, double v) { d_[Index(i, j)] = v; }
+
+  /// Cells (i, i+1), ..., (i, q-1), contiguous.
+  double* RowAfter(size_t i) { return d_.data() + i * q_ - i * (i + 1) / 2; }
 
  private:
+  size_t Index(size_t i, size_t j) const {
+    if (j < i) std::swap(i, j);
+    return i * q_ - i * (i + 1) / 2 + j - i - 1;
+  }
+
   size_t q_;
   std::vector<double> d_;
 };
@@ -75,8 +82,11 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   std::vector<LossKernel> kernels(pool.threads());
 
   std::vector<uint32_t> slot_cluster_id(q);
-  std::vector<bool> alive(q, true);
   for (size_t i = 0; i < q; ++i) slot_cluster_id[i] = static_cast<uint32_t>(i);
+  // The slots still holding a cluster, ascending. Every scan below walks
+  // this list, so the merge loop never visits a retired slot.
+  std::vector<size_t> live_slots(q);
+  for (size_t i = 0; i < q; ++i) live_slots[i] = i;
 
   SlotMatrix dist(q);
   // Nearest-neighbour cache: nn[i] = best partner slot for slot i.
@@ -89,8 +99,8 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   auto recompute_nn = [&](size_t i) {
     nn[i] = SIZE_MAX;
     nn_dist[i] = kInf;
-    for (size_t j = 0; j < q; ++j) {
-      if (j == i || !alive[j]) continue;
+    for (size_t j : live_slots) {
+      if (j == i) continue;
       const double d = dist.Get(i, j);
       if (d < nn_dist[i] ||
           (d == nn_dist[i] &&
@@ -109,8 +119,9 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     LossKernel& kernel = kernels[lane];
     for (size_t i = lo; i < hi; ++i) {
       kernel.SetObject(slot_p[i], arena.Row(slot_row[i]));
+      double* row = dist.RowAfter(i);
       for (size_t j = i + 1; j < q; ++j) {
-        dist.Set(i, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
+        *row++ = kernel.Loss(slot_p[j], arena.Row(slot_row[j]));
       }
     }
   });
@@ -124,18 +135,17 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   std::vector<Merge> merges;
   merges.reserve(q - options.min_k);
   double cumulative = 0.0;
-  size_t live = q;
   uint32_t next_cluster_id = static_cast<uint32_t>(q);
 
-  while (live > options.min_k) {
+  while (live_slots.size() > options.min_k) {
     // Pick the globally best pair; equal distances break on the
     // lexicographically smallest (min cluster id, max cluster id) pair.
     size_t best_i = SIZE_MAX;
     double best_d = kInf;
     uint32_t best_lo = 0;
     uint32_t best_hi = 0;
-    for (size_t i = 0; i < q; ++i) {
-      if (!alive[i] || nn[i] == SIZE_MAX) continue;
+    for (size_t i : live_slots) {
+      if (nn[i] == SIZE_MAX) continue;
       const double d = nn_dist[i];
       const uint32_t lo =
           std::min(slot_cluster_id[i], slot_cluster_id[nn[i]]);
@@ -157,7 +167,7 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
     size_t a = best_i;
     size_t b = nn[best_i];
     if (slot_cluster_id[b] < slot_cluster_id[a]) std::swap(a, b);
-    LIMBO_CHECK(alive[a] && alive[b] && a != b);
+    LIMBO_CHECK(a != b);
 
     const double delta = dist.Get(a, b);
     cumulative += delta;
@@ -177,32 +187,35 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
 
     // The merged cluster takes slot a; slot b dies.
     slot_cluster_id[a] = next_cluster_id++;
-    alive[b] = false;
-    --live;
+    live_slots.erase(
+        std::lower_bound(live_slots.begin(), live_slots.end(), b));
+    const size_t live = live_slots.size();
 
     // Refresh distances from the merged slot and fix stale NN entries.
     // Each j owns its dist cells and nn/nn_dist slots, so both scans are
     // safely data-parallel and bit-identical to the serial order. The
     // per-merge tag lets each lane scatter the merged row at most once.
     const uint64_t refresh_tag = next_cluster_id;
-    pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi, size_t lane) {
+    pool.ParallelFor(0, live, kGrain, [&](size_t lo, size_t hi, size_t lane) {
       LossKernel& kernel = kernels[lane];
       kernel.SetObject(slot_p[a], arena.Row(slot_row[a]), refresh_tag);
-      for (size_t j = lo; j < hi; ++j) {
-        if (!alive[j] || j == a) continue;
+      for (size_t k = lo; k < hi; ++k) {
+        const size_t j = live_slots[k];
+        if (j == a) continue;
         dist.Set(a, j, kernel.Loss(slot_p[j], arena.Row(slot_row[j])));
       }
     });
     stats.distance_evals += live - 1;
     recompute_nn(a);
-    pool.ParallelFor(0, q, kGrain, [&](size_t lo, size_t hi) {
+    pool.ParallelFor(0, live, kGrain, [&](size_t lo, size_t hi) {
       // NN-cache economics per surviving slot: a full recompute_nn is a
       // miss, keeping or cheaply lowering the cached partner is a hit.
       // Both totals depend only on the merge sequence, not thread count.
       uint64_t hits = 0;
       uint64_t misses = 0;
-      for (size_t j = lo; j < hi; ++j) {
-        if (!alive[j] || j == a) continue;
+      for (size_t k = lo; k < hi; ++k) {
+        const size_t j = live_slots[k];
+        if (j == a) continue;
         if (nn[j] == a || nn[j] == b) {
           recompute_nn(j);
           ++misses;

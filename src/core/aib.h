@@ -82,9 +82,11 @@ struct AibOptions {
 
 /// Agglomerative Information Bottleneck (Slonim & Tishby): greedily merges
 /// the cluster pair with minimum information loss δI until `min_k` clusters
-/// remain. Exact greedy; O(q^2) memory for the distance matrix, so intended
-/// for q up to a few thousand — use Limbo (limbo.h) above that, exactly as
-/// the paper prescribes.
+/// remain. Exact greedy; the distance matrix is the packed strict upper
+/// triangle, q(q-1)/2 doubles, and the merge loop scans only the live
+/// slots. That memory is still quadratic, so AIB is intended for q up to a
+/// few thousand — use Limbo (limbo.h) above that, exactly as the paper
+/// prescribes.
 ///
 /// Ties in δI are broken deterministically on *cluster ids*: the pair
 /// with the lexicographically smallest (min id, max id) merges first,

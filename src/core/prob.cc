@@ -288,8 +288,15 @@ size_t DistributionArena::AppendMerge(double w1, size_t a, double w2,
   const size_t na = offsets_[a + 1] - offsets_[a];
   const size_t nb = offsets_[b + 1] - offsets_[b];
   // Reserve up front so the source rows stay put while we push the merge.
-  entries_.reserve(entries_.size() + na + nb);
-  log2s_.reserve(log2s_.size() + na + nb);
+  // Growth is geometric: an exact-size reserve would copy the whole slab
+  // on nearly every merge once the caller's reserve runs out.
+  const size_t need = entries_.size() + na + nb;
+  if (need > entries_.capacity()) {
+    entries_.reserve(std::max(need, 2 * entries_.capacity()));
+  }
+  if (need > log2s_.capacity()) {
+    log2s_.reserve(std::max(need, 2 * log2s_.capacity()));
+  }
   const Entry* ae = entries_.data() + offsets_[a];
   const Entry* be = entries_.data() + offsets_[b];
   auto emit = [this](uint32_t id, double mass) {

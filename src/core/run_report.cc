@@ -1,5 +1,7 @@
 #include "core/run_report.h"
 
+#include <sys/resource.h>
+
 #include <utility>
 
 namespace limbo::core {
@@ -50,6 +52,13 @@ obs::RunReport AssembleRunReport(std::string title,
   report.sections = std::move(sections);
   report.sections.push_back(obs::TraceSection(obs::SnapshotTrace()));
   report.sections.push_back(obs::CountersSection(obs::SnapshotCounters()));
+  obs::ReportSection process("process");
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  // Linux reports ru_maxrss in KiB.
+  process.AddField("peak_rss_mb",
+                   static_cast<double>(usage.ru_maxrss) / 1024.0);
+  report.sections.push_back(std::move(process));
   return report;
 }
 

@@ -22,9 +22,10 @@ obs::ReportSection TrajectorySection(const std::vector<Merge>& merges,
 obs::ReportSection TimingsSection(const PhaseTimings& timings);
 
 /// Standard report envelope: the caller's sections first, then the live
-/// obs state ("spans" from the trace tree, "counters" from the registry).
-/// Callers that want a per-run report should ResetTrace/ResetCounters
-/// before the run they mean to describe.
+/// obs state ("spans" from the trace tree, "counters" from the registry),
+/// then "process": the process's peak resident set so far, peak_rss_mb,
+/// from getrusage. Callers that want a per-run report should
+/// ResetTrace/ResetCounters before the run they mean to describe.
 obs::RunReport AssembleRunReport(std::string title,
                                  std::vector<obs::ReportSection> sections);
 

@@ -44,8 +44,8 @@ util::Result<std::vector<ApproximateFd>> MineApproximateFds(
   if (options.min_lhs == 0) {
     for (AttributeId a = 0; a < m; ++a) {
       size_t largest = 1;  // n >= 1, so some group is non-empty
-      for (const auto& cls : single[a].classes()) {
-        largest = std::max(largest, cls.size());
+      for (size_t i = 0; i < single[a].NumClasses(); ++i) {
+        largest = std::max(largest, single[a].Class(i).size());
       }
       consider(AttributeSet(), a, largest);
     }

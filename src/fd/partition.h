@@ -2,6 +2,7 @@
 #define LIMBO_FD_PARTITION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "relation/relation.h"
@@ -12,11 +13,17 @@ namespace limbo::fd {
 /// of tuples under "agree on attribute set X", with singleton classes
 /// removed. The full-partition class count is recoverable as
 ///   |π| = NumClasses() + (n - CoveredTuples()).
+///
+/// The classes live flat, in CSR form: one TupleId array holding every
+/// covered tuple class after class, plus NumClasses() + 1 offsets into it.
+/// A partition is therefore two allocations however many classes it has,
+/// which is what lets TANE hold a whole lattice level at once.
 class StrippedPartition {
  public:
   StrippedPartition() = default;
 
-  /// Partition of `rel` under a single attribute.
+  /// Partition of `rel` under a single attribute. Classes are ordered by
+  /// their first tuple; tuples within a class ascend.
   static StrippedPartition ForAttribute(const relation::Relation& rel,
                                         relation::AttributeId a);
 
@@ -25,26 +32,27 @@ class StrippedPartition {
   static StrippedPartition Product(const StrippedPartition& a,
                                    const StrippedPartition& b, size_t n);
 
-  const std::vector<std::vector<relation::TupleId>>& classes() const {
-    return classes_;
+  size_t NumClasses() const { return offsets_.size() - 1; }
+  /// The tuples of class i, i < NumClasses(); every class has >= 2.
+  std::span<const relation::TupleId> Class(size_t i) const {
+    return {tuples_.data() + offsets_[i], tuples_.data() + offsets_[i + 1]};
   }
-  size_t NumClasses() const { return classes_.size(); }
-  size_t CoveredTuples() const { return covered_; }
+  size_t CoveredTuples() const { return tuples_.size(); }
 
   /// n - |π_full|; two partitions over the same relation are equal as
   /// full partitions iff one refines the other and their ranks agree.
   /// TANE's validity test X→A iff |π_X| = |π_{X∪A}| becomes
   /// Rank(X) == Rank(X∪A).
-  size_t Rank() const { return covered_ - classes_.size(); }
+  size_t Rank() const { return CoveredTuples() - NumClasses(); }
 
   /// True iff every tuple is alone in its class (X is a superkey).
-  bool IsSuperkey() const { return classes_.empty(); }
+  bool IsSuperkey() const { return NumClasses() == 0; }
 
  private:
   friend class PartitionProbe;
 
-  std::vector<std::vector<relation::TupleId>> classes_;
-  size_t covered_ = 0;
+  std::vector<relation::TupleId> tuples_;  // covered tuples, class by class
+  std::vector<uint32_t> offsets_ = {0};    // class i is [offsets_[i], [i+1])
 };
 
 /// TANE's probe table: a loaded π_a indexed tuple -> class, met against
@@ -72,11 +80,12 @@ class PartitionProbe {
   /// Calls `meet(c, size)` for each probe class c sharing `size` tuples
   /// with `cls`, in the order of c's first tuple in `cls`.
   template <typename Meet>
-  void ForEachMeet(const std::vector<relation::TupleId>& cls, Meet meet);
+  void ForEachMeet(std::span<const relation::TupleId> cls, Meet meet);
 
   std::vector<int32_t> owner_;    // tuple -> probe class, or -1
   std::vector<uint32_t> counts_;  // per probe class; all 0 between meets
-  std::vector<int32_t> slot_;     // per probe class; Product's scratch
+  std::vector<int32_t> cursor_;   // per probe class; Product's write
+                                  // position, -1 between meets
   size_t covered_ = 0;            // tuples in the probe's classes
 };
 

@@ -33,7 +33,9 @@ using AttributeList = std::vector<relation::AttributeId>;
 double EntropyOf(const fd::StrippedPartition& p, uint64_t n) {
   std::vector<uint64_t> sizes;
   sizes.reserve(p.NumClasses());
-  for (const auto& cls : p.classes()) sizes.push_back(cls.size());
+  for (size_t i = 0; i < p.NumClasses(); ++i) {
+    sizes.push_back(p.Class(i).size());
+  }
   return EntropyFromCounts(std::move(sizes), n);
 }
 

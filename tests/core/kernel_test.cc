@@ -299,13 +299,13 @@ TEST(JsDivergenceGallopTest, SmallIntoHugeStaysLogarithmic) {
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
-std::vector<Dcf> MixedInputs() {
+std::vector<Dcf> MixedInputs(size_t q = 48) {
   std::mt19937 rng(31);
   std::uniform_real_distribution<double> pd(0.2, 1.0);
   std::uniform_int_distribution<size_t> sd(2, 24);
   std::vector<Dcf> inputs;
   double total = 0.0;
-  for (int i = 0; i < 48; ++i) {
+  for (size_t i = 0; i < q; ++i) {
     inputs.push_back(RandomDcf(rng, sd(rng), 160, pd(rng)));
     total += inputs.back().p;
   }
@@ -313,13 +313,16 @@ std::vector<Dcf> MixedInputs() {
   return inputs;
 }
 
-TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdentical) {
-  const std::vector<Dcf> inputs = MixedInputs();
+/// Runs AIB down to `min_k` at `threads` lanes and checks every merge
+/// against the per-pair reference, bit for bit.
+void ExpectAibMatchesReference(const std::vector<Dcf>& inputs, size_t min_k,
+                               size_t threads) {
   AibOptions options;
-  options.threads = GetParam();
+  options.min_k = min_k;
+  options.threads = threads;
   auto batch = AgglomerativeIb(inputs, options);
   ASSERT_TRUE(batch.ok());
-  const std::vector<Merge> pair = reference::AibMerges(inputs, 1);
+  const std::vector<Merge> pair = reference::AibMerges(inputs, min_k);
   ASSERT_EQ(batch->merges().size(), pair.size());
   for (size_t i = 0; i < pair.size(); ++i) {
     const Merge& mb = batch->merges()[i];
@@ -331,6 +334,36 @@ TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdentical) {
     EXPECT_EQ(mb.cumulative_loss, mp.cumulative_loss) << i;
     EXPECT_EQ(mb.p_merged, mp.p_merged) << i;
   }
+}
+
+TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdentical) {
+  ExpectAibMatchesReference(MixedInputs(), 1, GetParam());
+}
+
+// At q = 300 the live slots span many grain-16 chunks as merges retire
+// them, and the merged rows outgrow the arena's up-front 2x reserve, so
+// the refresh reads rows that moved in a slab reallocation.
+TEST_P(KernelEquivalenceTest, AibMergeSequencesBitIdenticalAtQ300) {
+  ExpectAibMatchesReference(MixedInputs(300), 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibTwoInputsMergeOnce) {
+  const std::vector<Dcf> inputs = MixedInputs(2);
+  ASSERT_EQ(reference::AibMerges(inputs, 1).size(), 1u);
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibMinKAtQMakesNoMerges) {
+  const std::vector<Dcf> inputs = MixedInputs(20);
+  ExpectAibMatchesReference(inputs, inputs.size(), GetParam());
+  AibOptions options;
+  options.min_k = inputs.size();
+  options.threads = GetParam();
+  auto result = AgglomerativeIb(inputs, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->merges().empty());
+  EXPECT_EQ(result->FinalK(), inputs.size());
+  EXPECT_EQ(result->stats().distance_evals, 20u * 19u / 2u);
 }
 
 TEST_P(KernelEquivalenceTest, Phase3AssignmentsAndLossesBitIdentical) {

@@ -88,8 +88,11 @@ std::vector<std::vector<relation::TupleId>> GroupedClasses(
 
 std::vector<std::vector<relation::TupleId>> SortedClasses(
     const StrippedPartition& p) {
-  std::vector<std::vector<relation::TupleId>> out = p.classes();
-  for (auto& cls : out) std::sort(cls.begin(), cls.end());
+  std::vector<std::vector<relation::TupleId>> out;
+  for (size_t i = 0; i < p.NumClasses(); ++i) {
+    out.emplace_back(p.Class(i).begin(), p.Class(i).end());
+    std::sort(out.back().begin(), out.back().end());
+  }
   std::sort(out.begin(), out.end());
   return out;
 }

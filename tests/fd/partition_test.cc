@@ -28,6 +28,62 @@ TEST(StrippedPartitionTest, SingleAttributeStripsSingletons) {
   EXPECT_FALSE(p.IsSuperkey());
 }
 
+std::vector<relation::TupleId> ClassAt(const StrippedPartition& p, size_t i) {
+  return {p.Class(i).begin(), p.Class(i).end()};
+}
+
+TEST(StrippedPartitionTest, ClassesComeInOrderOfFirstTuple) {
+  const auto rel =
+      MakeRelation({"A"}, {{"y"}, {"x"}, {"y"}, {"z"}, {"x"}, {"x"}});
+  const auto p = StrippedPartition::ForAttribute(rel, 0);
+  ASSERT_EQ(p.NumClasses(), 2u);
+  EXPECT_EQ(ClassAt(p, 0), (std::vector<relation::TupleId>{0, 2}));
+  EXPECT_EQ(ClassAt(p, 1), (std::vector<relation::TupleId>{1, 4, 5}));
+}
+
+TEST(StrippedPartitionTest, EmptyRelationHasNoClasses) {
+  const auto rel = MakeRelation({"A", "B"}, {});
+  const auto pa = StrippedPartition::ForAttribute(rel, 0);
+  EXPECT_EQ(pa.NumClasses(), 0u);
+  EXPECT_EQ(pa.CoveredTuples(), 0u);
+  EXPECT_TRUE(pa.IsSuperkey());
+  EXPECT_EQ(pa.Rank(), 0u);
+  const auto pab = StrippedPartition::Product(
+      pa, StrippedPartition::ForAttribute(rel, 1), 0);
+  EXPECT_TRUE(pab.IsSuperkey());
+  EXPECT_EQ(pab.CoveredTuples(), 0u);
+}
+
+TEST(StrippedPartitionTest, SingleTupleIsSuperkey) {
+  const auto rel = MakeRelation({"A", "B"}, {{"x", "y"}});
+  const auto pa = StrippedPartition::ForAttribute(rel, 0);
+  EXPECT_TRUE(pa.IsSuperkey());
+  EXPECT_EQ(pa.CoveredTuples(), 0u);
+  EXPECT_EQ(pa.Rank(), 0u);
+  const auto pab = StrippedPartition::Product(
+      pa, StrippedPartition::ForAttribute(rel, 1), 1);
+  EXPECT_TRUE(pab.IsSuperkey());
+  EXPECT_EQ(pab.Rank(), 0u);
+}
+
+TEST(StrippedPartitionTest, ProductWithAllSingletonSideHasNoClasses) {
+  // A is constant (one class of every tuple), B is a key (no classes).
+  const auto rel =
+      MakeRelation({"A", "B"}, {{"c", "1"}, {"c", "2"}, {"c", "3"}});
+  const size_t n = rel.NumTuples();
+  const auto pa = StrippedPartition::ForAttribute(rel, 0);
+  const auto pb = StrippedPartition::ForAttribute(rel, 1);
+  ASSERT_EQ(pa.NumClasses(), 1u);
+  ASSERT_TRUE(pb.IsSuperkey());
+  for (const auto& product : {StrippedPartition::Product(pa, pb, n),
+                              StrippedPartition::Product(pb, pa, n)}) {
+    EXPECT_EQ(product.NumClasses(), 0u);
+    EXPECT_EQ(product.CoveredTuples(), 0u);
+    EXPECT_TRUE(product.IsSuperkey());
+    EXPECT_EQ(product.Rank(), 0u);
+  }
+}
+
 TEST(StrippedPartitionTest, KeyAttributeIsSuperkey) {
   const auto rel = MakeRelation({"A"}, {{"1"}, {"2"}, {"3"}});
   const auto p = StrippedPartition::ForAttribute(rel, 0);
@@ -38,7 +94,9 @@ TEST(StrippedPartitionTest, KeyAttributeIsSuperkey) {
 TEST(StrippedPartitionTest, ConstantAttributeOneClass) {
   const auto rel = MakeRelation({"A"}, {{"c"}, {"c"}, {"c"}});
   const auto p = StrippedPartition::ForAttribute(rel, 0);
-  EXPECT_EQ(p.NumClasses(), 1u);
+  ASSERT_EQ(p.NumClasses(), 1u);
+  EXPECT_EQ(ClassAt(p, 0), (std::vector<relation::TupleId>{0, 1, 2}));
+  EXPECT_EQ(p.CoveredTuples(), 3u);
   EXPECT_EQ(p.Rank(), 2u);  // n - 1
 }
 
@@ -95,7 +153,9 @@ TEST(StrippedPartitionTest, FdViolationChangesRank) {
 
 std::vector<uint64_t> SortedSizes(const StrippedPartition& p) {
   std::vector<uint64_t> sizes;
-  for (const auto& cls : p.classes()) sizes.push_back(cls.size());
+  for (size_t i = 0; i < p.NumClasses(); ++i) {
+    sizes.push_back(p.Class(i).size());
+  }
   std::sort(sizes.begin(), sizes.end());
   return sizes;
 }
@@ -139,8 +199,11 @@ Classes GroupedClasses(const relation::Relation& rel, AttributeSet x) {
 }
 
 Classes SortedClasses(const StrippedPartition& p) {
-  Classes out = p.classes();
-  for (auto& cls : out) std::sort(cls.begin(), cls.end());
+  Classes out;
+  for (size_t i = 0; i < p.NumClasses(); ++i) {
+    out.emplace_back(p.Class(i).begin(), p.Class(i).end());
+    std::sort(out.back().begin(), out.back().end());
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -163,7 +226,9 @@ void ExpectProbeMatches(PartitionProbe& probe, const relation::Relation& rel,
   std::vector<uint64_t> sizes;
   probe.Count(b, &sizes);
   std::vector<uint64_t> product_sizes;
-  for (const auto& cls : product.classes()) product_sizes.push_back(cls.size());
+  for (size_t i = 0; i < product.NumClasses(); ++i) {
+    product_sizes.push_back(product.Class(i).size());
+  }
   EXPECT_EQ(sizes, product_sizes);
   const double removed = G3Error(rel, {x, y}) * static_cast<double>(n);
   EXPECT_EQ(probe.G3Kept(b), n - static_cast<uint64_t>(std::llround(removed)));

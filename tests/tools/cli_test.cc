@@ -271,6 +271,23 @@ TEST(CliTest, FitWritesAModelBundle) {
   EXPECT_EQ(std::string(magic, 8), "LIMBOMDL");
 }
 
+TEST(CliTest, FitReportStatesPeakRss) {
+  const std::string id = std::to_string(getpid());
+  const std::string model = ::testing::TempDir() + "/limbo_cli_rss." + id +
+                            ".limbo";
+  const std::string out = ::testing::TempDir() + "/limbo_cli_rss." + id +
+                          ".json";
+  const RunResult r = RunTool("fit " + TempCsv() + " --k=5 --model-out=" +
+                              model + " --report=" + out);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::string json = ReadFile(out);
+  EXPECT_NE(json.find("\"process\""), std::string::npos);
+  const std::string key = "\"peak_rss_mb\": ";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  EXPECT_GT(std::strtod(json.c_str() + at + key.size(), nullptr), 0.0);
+}
+
 TEST(CliTest, PartitionPrintsPhase3OnlyWhenItRan) {
   // The partition pipeline always runs its own Phase-3 assignment scan,
   // so the timings line must include it — and with the phase3_ran guard
