@@ -48,85 +48,6 @@ inline size_t CountRecoveredTuples(
   return found;
 }
 
-/// One row of a thread-scaling sweep: the lane count and the phase
-/// timings a LIMBO run produced with it.
-struct ThreadScalingRow {
-  size_t threads = 1;
-  core::PhaseTimings timings;
-};
-
-/// Emits a thread-scaling sweep as one JSON object on stdout:
-/// {"benchmark": ..., "tuples": ..., "leaves": ..., "deterministic": ...,
-///  "results": [{"threads": t, "phase1_seconds": ..., ...}, ...]}.
-/// `deterministic` reports whether every run was bit-identical to the
-/// serial baseline (merge sequence and Phase-3 assignments).
-inline void PrintThreadScalingJson(const char* benchmark, size_t tuples,
-                                   size_t leaves, bool deterministic,
-                                   const std::vector<ThreadScalingRow>& rows) {
-  std::printf("{\"benchmark\": \"%s\", \"tuples\": %zu, \"leaves\": %zu, "
-              "\"deterministic\": %s, \"results\": [",
-              benchmark, tuples, leaves, deterministic ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const core::PhaseTimings& t = rows[i].timings;
-    std::printf(
-        "%s{\"threads\": %zu, \"phase1_seconds\": %.6f, "
-        "\"phase2_seconds\": %.6f, \"phase3_seconds\": %.6f, "
-        "\"phase2_distance_evals\": %llu}",
-        i == 0 ? "" : ", ", rows[i].threads, t.phase1_seconds,
-        t.phase2_seconds, t.phase3_seconds,
-        static_cast<unsigned long long>(t.phase2_distance_evals));
-  }
-  std::printf("]}\n");
-}
-
-/// One row of the `--kernel` microbenchmark: a support-size shape and
-/// the measured per-evaluation cost of the per-pair reference
-/// formulation vs the batch LossKernel.
-struct KernelCaseRow {
-  std::string name;
-  size_t object_support = 0;
-  size_t candidate_support = 0;
-  double per_pair_ns_per_eval = 0.0;
-  double batch_ns_per_eval = 0.0;
-  double max_abs_diff = 0.0;  // batch vs per-pair, should be ~0
-};
-
-/// End-to-end Phase-2 + Phase-3 timings at one input size, single-
-/// threaded, and whether both matched the per-pair reference bit for bit.
-struct KernelEndToEndRow {
-  size_t tuples = 0;
-  size_t leaves = 0;
-  double phase2_batch_seconds = 0.0;
-  double phase3_batch_seconds = 0.0;
-  bool bit_identical = false;
-};
-
-/// Emits the kernel benchmark as one JSON object on stdout.
-inline void PrintKernelJson(const std::vector<KernelCaseRow>& micro,
-                            const KernelEndToEndRow& e2e) {
-  std::printf("{\"benchmark\": \"limbo_kernel\", \"micro\": [");
-  for (size_t i = 0; i < micro.size(); ++i) {
-    const KernelCaseRow& r = micro[i];
-    const double speedup = r.batch_ns_per_eval > 0.0
-                               ? r.per_pair_ns_per_eval / r.batch_ns_per_eval
-                               : 0.0;
-    std::printf(
-        "%s{\"case\": \"%s\", \"object_support\": %zu, "
-        "\"candidate_support\": %zu, \"per_pair_ns_per_eval\": %.1f, "
-        "\"batch_ns_per_eval\": %.1f, \"speedup\": %.2f, "
-        "\"max_abs_diff\": %.3g}",
-        i == 0 ? "" : ", ", r.name.c_str(), r.object_support,
-        r.candidate_support, r.per_pair_ns_per_eval, r.batch_ns_per_eval,
-        speedup, r.max_abs_diff);
-  }
-  std::printf(
-      "], \"end_to_end\": {\"tuples\": %zu, \"leaves\": %zu, "
-      "\"phase2_batch_seconds\": %.6f, \"phase3_batch_seconds\": %.6f, "
-      "\"bit_identical\": %s}}\n",
-      e2e.tuples, e2e.leaves, e2e.phase2_batch_seconds,
-      e2e.phase3_batch_seconds, e2e.bit_identical ? "true" : "false");
-}
-
 /// FNV-1a mixing helpers for the result checksum below.
 inline void HashMix(uint64_t* h, const void* data, size_t bytes) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -170,57 +91,6 @@ inline uint64_t HashLimboResult(const core::LimboResult& r) {
   for (uint32_t label : r.assignments) HashU64(&h, label);
   for (double loss : r.assignment_loss) HashDouble(&h, loss);
   return h;
-}
-
-/// One arm of the `--stream` benchmark, measured in its own child process
-/// so ru_maxrss isolates that arm's peak instead of the process maximum
-/// across both arms.
-struct StreamArmRow {
-  std::string arm;
-  double seconds = 0.0;
-  unsigned long long peak_rss_kb = 0;
-  size_t leaves = 0;
-  uint64_t checksum = 0;
-};
-
-/// Prints one arm as a single JSON line (the child-process protocol of
-/// the `--stream` benchmark; the parent parses exactly this shape).
-inline void PrintStreamArmJson(const StreamArmRow& r) {
-  std::printf(
-      "{\"arm\": \"%s\", \"seconds\": %.6f, \"peak_rss_kb\": %llu, "
-      "\"leaves\": %zu, \"checksum\": \"%016llx\"}\n",
-      r.arm.c_str(), r.seconds, r.peak_rss_kb, r.leaves,
-      static_cast<unsigned long long>(r.checksum));
-}
-
-/// Emits the combined `--stream` benchmark record on stdout:
-/// streamed-vs-materialized peak RSS and wall time plus the checksum
-/// equivalence verdict. This is what BENCH_stream.json records.
-inline void PrintStreamJson(size_t tuples, size_t k, bool equivalent,
-                            const std::vector<StreamArmRow>& arms) {
-  double streamed_rss = 0.0;
-  double materialized_rss = 0.0;
-  for (const StreamArmRow& r : arms) {
-    if (r.arm == "streamed") streamed_rss = static_cast<double>(r.peak_rss_kb);
-    if (r.arm == "materialized") {
-      materialized_rss = static_cast<double>(r.peak_rss_kb);
-    }
-  }
-  const double rss_ratio =
-      streamed_rss > 0.0 ? materialized_rss / streamed_rss : 0.0;
-  std::printf("{\"benchmark\": \"limbo_stream\", \"tuples\": %zu, "
-              "\"k\": %zu, \"equivalent\": %s, \"rss_ratio\": %.2f, "
-              "\"arms\": [",
-              tuples, k, equivalent ? "true" : "false", rss_ratio);
-  for (size_t i = 0; i < arms.size(); ++i) {
-    const StreamArmRow& r = arms[i];
-    std::printf(
-        "%s{\"arm\": \"%s\", \"seconds\": %.6f, \"peak_rss_kb\": %llu, "
-        "\"leaves\": %zu, \"checksum\": \"%016llx\"}",
-        i == 0 ? "" : ", ", r.arm.c_str(), r.seconds, r.peak_rss_kb, r.leaves,
-        static_cast<unsigned long long>(r.checksum));
-  }
-  std::printf("]}\n");
 }
 
 /// Tuple-cluster labels from a Phase-1 + Phase-3 run at the given φ_T

@@ -3,40 +3,25 @@
 // AIB is quadratic in the number of objects, LIMBO Phase 1 is near-linear
 // with a bounded number of summaries.
 //
-// Special modes (skip the google-benchmark suite):
-//  * `micro_limbo --thread-scaling [--tuples=N]` sweeps the LIMBO
-//    worker-lane count over a DBLP-sized input, emitting one JSON object
-//    (threads -> per-phase wall time) and cross-checking that every lane
-//    count reproduces the serial merge sequence bit-for-bit.
-//  * `micro_limbo --kernel [--tuples=N]` benchmarks the δI distance
-//    kernel: the per-pair formulation vs the arena batch kernel across
-//    support shapes, plus single-threaded Phase-2 + Phase-3 timings whose
-//    results must match the per-pair reference (tests/reference) bit for
-//    bit, else the exit status is 1. Its output is what
-//    BENCH_kernel.json records.
-//  * `micro_limbo --report[=path] [--tuples=N] [--refit-tuples=M]` runs
-//    the full LIMBO pipeline once over a DBLP-sized input and emits a
-//    structured run report (same schema as `limbo-tool --report=...`:
-//    phases, merge trajectory, trace spans, counters) to `path` or
-//    stdout, plus a "refit" section measuring the incremental-refit arm
-//    at M tuples (default: the pipeline's N). Its output is what
-//    BENCH_report.json records.
+// Three modes skip the google-benchmark suite and measure what neither
+// the repository benchmark (perfbench) nor ctest can. Each prints one
+// RunReport JSON on stdout, the schema `limbo-tool --report` writes, with
+// its own section first and the trace spans, work counters and the
+// process's peak RSS after it:
+//  * `micro_limbo --kernel` times the δI distance kernel across support
+//    shapes: ns per evaluation of the per-pair formulation vs the arena
+//    batch kernel, one row of the "kernel" table per shape. Bit identity
+//    against the per-pair reference is KernelEquivalenceTest's gate.
 //  * `micro_limbo --stream [--tuples=N]` writes a DBLP-sized CSV, then
 //    runs the streamed (RowSource + RunLimboStreamed) and materialized
 //    (ReadCsv + RunLimbo) pipelines over it — each in its own child
-//    process via /proc/self/exe, so getrusage peak RSS isolates one arm —
-//    and emits one JSON object with both arms' wall time, peak RSS, and
-//    an FNV-1a checksum over the full LimboResult. Exit 0 iff the
-//    checksums match (the bit-identity contract). Its output is what
-//    BENCH_stream.json records. (`--stream-arm=` / `--stream-csv=` are
-//    the internal child-process protocol.)
-//  * `micro_limbo --serve [--tuples=N]` measures the serve::Engine query
-//    path: a model bundle is frozen from a DBLP-sized LIMBO run, every
-//    row is replayed as an NDJSON assign query at 1 and 4 workers, and
-//    the output records queries/sec plus p50/p99 latency per worker
-//    count. Exit 0 iff the responses are byte-identical across worker
-//    counts AND every served label equals the batch Phase-3 assignment.
-//    Its output is what BENCH_serve.json records.
+//    process via /proc/self/exe, so a child's peak RSS isolates one arm.
+//    Each child prints its own RunReport; the parent reads the arm's wall
+//    time, leaf count and FNV-1a checksum over the full LimboResult from
+//    its "stream_arm" section and its peak RSS from its "process" section,
+//    and exits 0 iff the checksums match (the bit-identity contract).
+//    (`--stream-arm=` / `--stream-csv=` are the internal child-process
+//    protocol.)
 //  * `micro_limbo --load [--tuples=N] [--connections=C]
 //    [--serve-workers=W] [--load-seconds=S] [--p99-limit-us=X]
 //    [--batch-max=B] [--batch-wait-us=U] [--cache-entries=E]` is the
@@ -53,31 +38,15 @@
 //    byte-compared against the engine-computed expectation for its
 //    model; the run fails on any mismatched or dropped response, a
 //    failed reload, or (when --p99-limit-us is given) an aggregate p99
-//    above the ceiling. The output line records realized batching
-//    (batches, mean_batch) and cache_hits; these lines are what the
-//    serve_load arms of BENCH_serve.json record.
-//  * `micro_limbo --refit [--tuples=N]` measures the incremental refit
-//    path against the full fit it replaces: a bundle is fit at N DBLP
-//    tuples (with refit state), ~1% of the rows are replayed through
-//    `model::RefitModel` on the no-drift patch path, and the refitted
-//    child is hot-reloaded into a serve::Registry where every replayed
-//    assign response is byte-compared against the parent's. Exit 0 iff
-//    the batch stayed no-drift, the patch was at least 5x faster than
-//    the full fit, and zero responses mismatched after the reload. The
-//    same measurement is the "refit" section of BENCH_report.json.
-//  * `micro_limbo --schemes [--tuples=N]` measures the approximate
-//    acyclic-scheme miner (schemes::MineAcyclicSchemes over the
-//    partition-product entropy oracle) on the DB2 join sample and an
-//    N-tuple DBLP input: wall time at 1 and 4 oracle lanes, scheme
-//    count, J-measures, and oracle pass/prune statistics, one JSON line
-//    per dataset. Exit 0 iff both lane counts mine the identical scheme
-//    list on every dataset and DBLP yields at least one scheme. Its
-//    output is what BENCH_schemes.json records.
+//    above the ceiling. Its "serve_load" section records realized
+//    batching (batches, mean_batch) and cache_hits.
+//
+// A mode rejects any flag it does not take and any number that does not
+// parse in full with exit 2, so a mistyped gate flag can never leave its
+// gate silently off. Without a mode, unknown arguments exit 2 as well.
 
 #include <benchmark/benchmark.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -85,43 +54,35 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/aib.h"
-#include "core/dcf_tree.h"
 #include "core/limbo.h"
 #include "core/run_report.h"
 #include "core/tuple_clustering.h"
-#include "obs/counters.h"
-#include "obs/report.h"
-#include "obs/trace.h"
 #include "datagen/db2_sample.h"
 #include "datagen/dblp.h"
 #include "fd/fdep.h"
 #include "fd/partition.h"
 #include "fd/tane.h"
-#include "model/fit.h"
 #include "model/model_bundle.h"
-#include "model/refit.h"
-#include "reference/per_pair.h"
+#include "obs/report.h"
 #include "relation/csv_io.h"
 #include "relation/row_source.h"
 #include "relation/source_stats.h"
-#include "schemes/entropy_oracle.h"
-#include "schemes/mine.h"
 #include "serve/engine.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "util/json.h"
-#include "util/parallel.h"
 #include "util/random.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -270,57 +231,19 @@ void BM_TupleObjectsDb2(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleObjectsDb2);
 
-/// Thread-scaling sweep: one RunLimbo per lane count over the DBLP
-/// relation (the paper's large input), asserting bit-identical results.
-int RunThreadScaling(size_t tuples) {
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-
-  core::LimboOptions options;
-  options.phi = 0.5;
-  options.k = 10;
-
-  const size_t thread_counts[] = {1, 2, 4, 8};
-  std::vector<bench::ThreadScalingRow> rows;
-  bool deterministic = true;
-  std::vector<core::Merge> baseline_merges;
-  std::vector<uint32_t> baseline_assignments;
-  size_t leaves = 0;
-  for (size_t threads : thread_counts) {
-    options.threads = threads;
-    auto result = core::RunLimbo(objects, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    leaves = result->leaves.size();
-    rows.push_back({threads, result->timings});
-    if (threads == 1) {
-      baseline_merges = result->aib.merges();
-      baseline_assignments = result->assignments;
-    } else {
-      const auto& merges = result->aib.merges();
-      bool same = merges.size() == baseline_merges.size() &&
-                  result->assignments == baseline_assignments;
-      for (size_t i = 0; same && i < merges.size(); ++i) {
-        same = merges[i].left == baseline_merges[i].left &&
-               merges[i].right == baseline_merges[i].right &&
-               merges[i].delta_i == baseline_merges[i].delta_i;
-      }
-      deterministic = deterministic && same;
-    }
-  }
-  bench::PrintThreadScalingJson("limbo_thread_scaling", objects.size(),
-                                leaves, deterministic, rows);
-  return deterministic ? 0 : 1;
-}
-
 double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Prints the RunReport of one mode on stdout: `sections` first, then the
+/// spans, counters and process peak RSS every report ends with.
+void PrintReport(const char* title, std::vector<obs::ReportSection> sections) {
+  std::printf("%s\n",
+              core::AssembleRunReport(title, std::move(sections))
+                  .ToJson()
+                  .c_str());
 }
 
 /// Per-pair reference δI: Eq. 3 through the generic JsDivergence, the
@@ -331,11 +254,12 @@ double ReferencePairLoss(const core::Dcf& a, const core::Dcf& b) {
   return total * core::JsDivergence(a.p / total, a.cond, b.p / total, b.cond);
 }
 
-/// Measures one micro case: `n_candidates` candidates scored against one
-/// object, per-pair formulation vs batch kernel. Repeats until each arm
-/// has run for >= 50ms and reports ns per evaluation.
-bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
-                                       uint64_t seed) {
+/// Measures one kernel case: 64 candidates of support `sc` scored against
+/// one object of support `so`, per-pair formulation vs batch kernel.
+/// Repeats until each arm has run for >= 50ms and appends ns per
+/// evaluation to `table`.
+void MeasureKernelCase(const char* name, size_t so, size_t sc, uint64_t seed,
+                       obs::ReportTable* table) {
   constexpr size_t kCandidates = 64;
   util::Random rng(seed);
   const uint32_t universe = static_cast<uint32_t>(2 * (so + sc));
@@ -365,11 +289,6 @@ bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
   // The batch arm reads both sides from the arena, exactly as the AIB
   // scans do (cached logs on object and candidates alike).
   const size_t object_row = arena.Append(object.cond);
-
-  bench::KernelCaseRow row;
-  row.name = name;
-  row.object_support = so;
-  row.candidate_support = sc;
   double sink = 0.0;
 
   uint64_t evals = 0;
@@ -378,7 +297,7 @@ bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
     for (const core::Dcf& c : candidates) sink += ReferencePairLoss(object, c);
     evals += kCandidates;
   }
-  row.per_pair_ns_per_eval = Seconds(start) * 1e9 / static_cast<double>(evals);
+  const double per_pair_ns = Seconds(start) * 1e9 / static_cast<double>(evals);
 
   core::LossKernel kernel;
   evals = 0;
@@ -390,186 +309,48 @@ bench::KernelCaseRow MeasureKernelCase(const char* name, size_t so, size_t sc,
     }
     evals += kCandidates;
   }
-  row.batch_ns_per_eval = Seconds(start) * 1e9 / static_cast<double>(evals);
+  const double batch_ns = Seconds(start) * 1e9 / static_cast<double>(evals);
   benchmark::DoNotOptimize(sink);
 
+  double max_abs_diff = 0.0;  // batch vs per-pair, should be ~0
   kernel.SetObject(object.p, arena.Row(object_row));
   for (size_t i = 0; i < kCandidates; ++i) {
     const double diff = std::abs(kernel.Loss(cand_p[i], arena.Row(i)) -
                                  ReferencePairLoss(object, candidates[i]));
-    row.max_abs_diff = std::max(row.max_abs_diff, diff);
+    max_abs_diff = std::max(max_abs_diff, diff);
   }
-  return row;
+  table->rows.push_back(
+      {obs::ReportValue::String(name), obs::ReportValue::Integer(so),
+       obs::ReportValue::Integer(sc), obs::ReportValue::Number(per_pair_ns),
+       obs::ReportValue::Number(batch_ns),
+       obs::ReportValue::Number(batch_ns > 0.0 ? per_pair_ns / batch_ns : 0.0),
+       obs::ReportValue::Number(max_abs_diff)});
 }
 
-/// Kernel benchmark mode: micro sweep over support shapes, then the
-/// single-threaded Phase-2 + Phase-3 hot path on the DBLP input, checked
-/// bit for bit against the per-pair reference (tests/reference).
-int RunKernelBench(size_t tuples) {
-  std::vector<bench::KernelCaseRow> micro;
-  micro.push_back(MeasureKernelCase("equal_8", 8, 8, 1));
-  micro.push_back(MeasureKernelCase("equal_64", 64, 64, 2));
-  micro.push_back(MeasureKernelCase("equal_512", 512, 512, 3));
-  micro.push_back(MeasureKernelCase("small_obj_vs_4096", 8, 4096, 4));
-  micro.push_back(MeasureKernelCase("large_obj_vs_8", 4096, 8, 5));
-
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-  core::LimboOptions limbo_options;
-  limbo_options.phi = 0.5;
-  core::VectorDcfStream stream(objects);
-  const std::vector<core::Dcf> leaves =
-      core::SummarizePhase1(stream, limbo_options).value().leaves;
-
-  bench::KernelEndToEndRow e2e;
-  e2e.tuples = objects.size();
-  e2e.leaves = leaves.size();
-
-  core::AibOptions aib_options;
-  aib_options.threads = 1;
-  constexpr int kReps = 3;
-  util::Result<core::AibResult> aib = util::Status::InvalidArgument("unset");
-  e2e.phase2_batch_seconds = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    aib = core::AgglomerativeIb(leaves, aib_options);
-    e2e.phase2_batch_seconds =
-        std::min(e2e.phase2_batch_seconds, Seconds(start));
-  }
-  if (!aib.ok()) {
-    std::fprintf(stderr, "AIB failed\n");
-    return 1;
-  }
-  const std::vector<core::Merge> ref_merges =
-      reference::AibMerges(leaves, aib_options.min_k);
-  const auto& bm = aib->merges();
-  bool same = bm.size() == ref_merges.size();
-  for (size_t i = 0; same && i < bm.size(); ++i) {
-    same = bm[i].left == ref_merges[i].left &&
-           bm[i].right == ref_merges[i].right &&
-           bm[i].delta_i == ref_merges[i].delta_i &&
-           bm[i].cumulative_loss == ref_merges[i].cumulative_loss;
-  }
-
-  const size_t k = std::min<size_t>(10, leaves.size());
-  auto reps = core::ClusterDcfsAtK(leaves, *aib, k);
-  if (!reps.ok()) {
-    std::fprintf(stderr, "%s\n", reps.status().ToString().c_str());
-    return 1;
-  }
-  std::vector<double> loss;
-  util::Result<std::vector<uint32_t>> labels =
-      util::Status::InvalidArgument("unset");
-  e2e.phase3_batch_seconds = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    labels = core::LimboPhase3(objects, *reps, &loss, 1);
-    e2e.phase3_batch_seconds =
-        std::min(e2e.phase3_batch_seconds, Seconds(start));
-  }
-  if (!labels.ok()) {
-    std::fprintf(stderr, "Phase 3 failed\n");
-    return 1;
-  }
-  const reference::Assignment ref = reference::AssignToNearest(objects, *reps);
-  e2e.bit_identical = same && *labels == ref.labels && loss == ref.losses;
-
-  bench::PrintKernelJson(micro, e2e);
-  return e2e.bit_identical ? 0 : 1;
-}
-
-/// One measured refit arm: full-fit wall time vs the no-drift patch
-/// path over the same DBLP input, plus the serve-side hot-reload gate
-/// (parent served, refitted child swapped in, responses byte-compared).
-struct RefitArmRow {
-  size_t tuples = 0;
-  size_t extra_rows = 0;
-  double fit_seconds = 0.0;
-  double refit_seconds = 0.0;
-  double speedup = 0.0;
-  double drift_score = 0.0;
-  const char* drift_class = "?";
-  bool reload_ok = false;
-  size_t replayed = 0;
-  uint64_t mismatched = 0;
-};
-
-util::Result<RefitArmRow> MeasureRefitArm(size_t tuples);
-
-/// Run-report mode: one full LIMBO pipeline over DBLP, reported with the
-/// exact schema `limbo-tool --report=...` writes, so tooling that parses
-/// one parses the other. The report also carries a "refit" section —
-/// the incremental-refit arm at `refit_tuples` — measured before the
-/// pipeline so its spans and counters don't leak into the report's own.
-int RunReportMode(size_t tuples, const std::string& path,
-                  size_t refit_tuples) {
-  auto refit_arm = MeasureRefitArm(refit_tuples);
-  if (!refit_arm.ok()) {
-    std::fprintf(stderr, "%s\n", refit_arm.status().ToString().c_str());
-    return 1;
-  }
-  obs::ResetTrace();
-  obs::ResetCounters();
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-
-  core::LimboOptions options;
-  options.phi = 0.5;
-  options.k = 10;
-  auto result = core::RunLimbo(objects, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-
-  std::vector<obs::ReportSection> sections;
-  obs::ReportSection run("run");
-  run.AddField("command", "micro_limbo --report");
-  run.AddField("input", "dblp");
-  run.AddField("tuples", static_cast<uint64_t>(objects.size()));
-  run.AddField("leaves", static_cast<uint64_t>(result->leaves.size()));
-  run.AddField("k", static_cast<uint64_t>(options.k));
-  sections.push_back(std::move(run));
-  sections.push_back(core::TimingsSection(result->timings));
-  sections.push_back(core::TrajectorySection(result->aib.merges()));
-  obs::ReportSection refit("refit");
-  refit.AddField("tuples", static_cast<uint64_t>(refit_arm->tuples));
-  refit.AddField("appended_rows",
-                 static_cast<uint64_t>(refit_arm->extra_rows));
-  refit.AddField("full_fit_seconds", refit_arm->fit_seconds);
-  refit.AddField("refit_seconds", refit_arm->refit_seconds);
-  refit.AddField("speedup", refit_arm->speedup);
-  refit.AddField("drift_score", refit_arm->drift_score);
-  refit.AddField("drift_class", refit_arm->drift_class);
-  refit.AddField("reload_bit_identical",
-                 refit_arm->reload_ok && refit_arm->mismatched == 0);
-  sections.push_back(std::move(refit));
-  const obs::RunReport report = core::AssembleRunReport(
-      "micro_limbo limbo-pipeline", std::move(sections));
-  const std::string body = report.ToJson();
-  if (path.empty()) {
-    std::printf("%s\n", body.c_str());
-    return 0;
-  }
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  file << body;
-  std::fprintf(stderr, "wrote run report %s (%zu bytes)\n", path.c_str(),
-               body.size());
+/// Kernel benchmark mode: the micro sweep over support shapes.
+int RunKernelBench() {
+  obs::ReportSection kernel("kernel");
+  kernel.table.columns = {"case",
+                          "object_support",
+                          "candidate_support",
+                          "per_pair_ns_per_eval",
+                          "batch_ns_per_eval",
+                          "speedup",
+                          "max_abs_diff"};
+  MeasureKernelCase("equal_8", 8, 8, 1, &kernel.table);
+  MeasureKernelCase("equal_64", 64, 64, 2, &kernel.table);
+  MeasureKernelCase("equal_512", 512, 512, 3, &kernel.table);
+  MeasureKernelCase("small_obj_vs_4096", 8, 4096, 4, &kernel.table);
+  MeasureKernelCase("large_obj_vs_8", 4096, 8, 5, &kernel.table);
+  PrintReport("micro_limbo --kernel", {std::move(kernel)});
   return 0;
 }
 
 /// Child process of the `--stream` benchmark: runs one pipeline arm over
-/// the CSV the parent wrote and prints a single JSON line with wall time,
-/// peak RSS (its own, so the arms don't contaminate each other), and the
-/// result checksum.
+/// the CSV the parent wrote and prints its RunReport, whose "stream_arm"
+/// section holds the wall time, leaf count and result checksum and whose
+/// "process" section holds this process's own peak RSS, so the arms don't
+/// contaminate each other.
 int RunStreamArm(const std::string& arm, const std::string& csv_path) {
   core::LimboOptions options;
   // φ = 1.0 keeps the Phase-1 summary count bounded the way the paper
@@ -610,21 +391,74 @@ int RunStreamArm(const std::string& arm, const std::string& csv_path) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  bench::StreamArmRow row;
-  row.arm = arm;
-  row.seconds = Seconds(start);
-  struct rusage usage;
-  getrusage(RUSAGE_SELF, &usage);
-  row.peak_rss_kb = static_cast<unsigned long long>(usage.ru_maxrss);
-  row.leaves = result->leaves.size();
-  row.checksum = bench::HashLimboResult(*result);
-  bench::PrintStreamArmJson(row);
+  obs::ReportSection row("stream_arm");
+  row.AddField("arm", arm);
+  row.AddField("seconds", Seconds(start));
+  row.AddField("leaves", static_cast<uint64_t>(result->leaves.size()));
+  const unsigned long long checksum = bench::HashLimboResult(*result);
+  row.AddField("checksum", util::StrFormat("%016llx", checksum));
+  PrintReport("micro_limbo --stream-arm", {std::move(row)});
   return 0;
+}
+
+/// The field `key` of the top-level section `title` of `report`, or null.
+const obs::ReportValue* FindField(const obs::RunReport& report,
+                                  const std::string& title,
+                                  const std::string& key) {
+  for (const obs::ReportSection& section : report.sections) {
+    if (section.title != title) continue;
+    for (const auto& [name, value] : section.fields) {
+      if (name == key) return &value;
+    }
+  }
+  return nullptr;
+}
+
+/// One measured arm of the `--stream` benchmark, read back from the
+/// child's report.
+struct StreamArm {
+  double seconds = 0.0;
+  double peak_rss_mb = 0.0;
+  uint64_t leaves = 0;
+  std::string checksum;
+};
+
+/// Runs `cmd` and parses everything it printed on stdout as a child
+/// arm's RunReport. False when the child fails or its report lacks a
+/// field the parent reads.
+bool RunStreamChild(const std::string& cmd, StreamArm* arm) {
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return false;
+  std::string out;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof chunk, pipe)) > 0) {
+    out.append(chunk, n);
+  }
+  if (pclose(pipe) != 0) return false;
+  auto report = obs::RunReport::FromJson(out);
+  if (!report.ok()) return false;
+  const auto* seconds = FindField(*report, "stream_arm", "seconds");
+  const auto* leaves = FindField(*report, "stream_arm", "leaves");
+  const auto* checksum = FindField(*report, "stream_arm", "checksum");
+  const auto* rss = FindField(*report, "process", "peak_rss_mb");
+  using Kind = obs::ReportValue::Kind;
+  if (seconds == nullptr || seconds->kind != Kind::kNumber ||
+      leaves == nullptr || leaves->kind != Kind::kInteger ||
+      checksum == nullptr || checksum->kind != Kind::kString ||
+      rss == nullptr || rss->kind != Kind::kNumber) {
+    return false;
+  }
+  arm->seconds = seconds->number;
+  arm->leaves = leaves->integer;
+  arm->checksum = checksum->str;
+  arm->peak_rss_mb = rss->number;
+  return true;
 }
 
 /// Parent of the `--stream` benchmark: writes the CSV, re-execs itself
 /// once per arm (peak RSS is a process-lifetime maximum, so the arms must
-/// not share an address space), and emits the combined record.
+/// not share an address space), and reports both arms side by side.
 int RunStreamBench(size_t tuples) {
   datagen::DblpOptions dblp_options;
   dblp_options.target_tuples = tuples;
@@ -646,55 +480,37 @@ int RunStreamBench(size_t tuples) {
     return 1;
   }
   exe[exe_len] = '\0';
-  std::vector<bench::StreamArmRow> arms;
-  for (const char* arm : {"streamed", "materialized"}) {
-    const std::string cmd = std::string(exe) + " --stream-arm=" + arm +
+  obs::ReportSection stream("stream");
+  stream.table.columns = {"arm", "seconds", "peak_rss_mb", "leaves",
+                          "checksum"};
+  StreamArm arms[2];
+  const char* names[2] = {"streamed", "materialized"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string cmd = std::string(exe) + " --stream-arm=" + names[i] +
                             " --stream-csv=" + csv;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    if (pipe == nullptr) {
-      std::fprintf(stderr, "cannot spawn %s\n", cmd.c_str());
+    if (!RunStreamChild(cmd, &arms[i])) {
+      std::fprintf(stderr, "stream arm %s failed\n", names[i]);
       unlink(csv.c_str());
       return 1;
     }
-    char line[512];
-    const bool got = std::fgets(line, sizeof line, pipe) != nullptr;
-    const int rc = pclose(pipe);
-    bench::StreamArmRow row;
-    char name[32] = {0};
-    unsigned long long rss = 0;
-    unsigned long long leaves = 0;
-    unsigned long long checksum = 0;
-    if (!got || rc != 0 ||
-        std::sscanf(line,
-                    "{\"arm\": \"%31[^\"]\", \"seconds\": %lf, "
-                    "\"peak_rss_kb\": %llu, \"leaves\": %llu, "
-                    "\"checksum\": \"%llx\"}",
-                    name, &row.seconds, &rss, &leaves, &checksum) != 5) {
-      std::fprintf(stderr, "stream arm %s failed (rc=%d)\n", arm, rc);
-      unlink(csv.c_str());
-      return 1;
-    }
-    row.arm = name;
-    row.peak_rss_kb = rss;
-    row.leaves = static_cast<size_t>(leaves);
-    row.checksum = checksum;
-    arms.push_back(std::move(row));
+    stream.table.rows.push_back({obs::ReportValue::String(names[i]),
+                                 obs::ReportValue::Number(arms[i].seconds),
+                                 obs::ReportValue::Number(arms[i].peak_rss_mb),
+                                 obs::ReportValue::Integer(arms[i].leaves),
+                                 obs::ReportValue::String(arms[i].checksum)});
   }
   unlink(csv.c_str());
-  const bool equivalent = arms.size() == 2 &&
-                          arms[0].checksum == arms[1].checksum &&
+  const bool equivalent = arms[0].checksum == arms[1].checksum &&
                           arms[0].leaves == arms[1].leaves;
-  bench::PrintStreamJson(tuples, /*k=*/10, equivalent, arms);
+  stream.AddField("tuples", static_cast<uint64_t>(tuples));
+  stream.AddField("k", 10);
+  stream.AddField("equivalent", equivalent);
+  stream.AddField("rss_ratio", arms[0].peak_rss_mb > 0.0
+                                   ? arms[1].peak_rss_mb / arms[0].peak_rss_mb
+                                   : 0.0);
+  PrintReport("micro_limbo --stream", {std::move(stream)});
   return equivalent ? 0 : 1;
 }
-
-/// One worker-count arm of the serve benchmark.
-struct ServeArmRow {
-  size_t workers = 0;
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
 
 /// Freezes the tuple-clustering artifacts of one LIMBO run at `k` into
 /// a ModelBundle. The value-group / FD sections stay empty — assign
@@ -721,119 +537,18 @@ util::Result<model::ModelBundle> FreezeTupleBundle(
   return bundle;
 }
 
-/// The assign query for row `t` of `rel`, optionally routed to `model`.
+/// The assign query for row `t` of `rel`, routed to `model`.
 std::string AssignQuery(const relation::Relation& rel, relation::TupleId t,
                         const std::string& model) {
-  std::string q = "{\"op\":\"assign\",";
-  if (!model.empty()) {
-    q += "\"model\":";
-    util::AppendJsonString(model, &q);
-    q.push_back(',');
-  }
-  q += "\"row\":[";
+  std::string q = "{\"op\":\"assign\",\"model\":";
+  util::AppendJsonString(model, &q);
+  q += ",\"row\":[";
   for (relation::AttributeId a = 0; a < rel.NumAttributes(); ++a) {
     if (a > 0) q.push_back(',');
     util::AppendJsonString(rel.TextAt(t, a), &q);
   }
   q += "]}";
   return q;
-}
-
-/// Serve-path benchmark: freeze one LIMBO run into a ModelBundle,
-/// replay every row as an assign query, and measure throughput +
-/// latency per worker count.
-int RunServeBench(size_t tuples) {
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-  auto bundle = FreezeTupleBundle(rel, objects, 10);
-  if (!bundle.ok()) {
-    std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<uint32_t> batch_assignments = bundle->assignments;
-  const size_t clusters = bundle->representatives.size();
-  auto engine = serve::Engine::FromBundle(std::move(*bundle), {});
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-
-  std::vector<std::string> queries;
-  queries.reserve(rel.NumTuples());
-  for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
-    queries.push_back(AssignQuery(rel, t, ""));
-  }
-
-  std::vector<ServeArmRow> arms;
-  std::vector<std::string> baseline;
-  bool bit_identical = true;
-  for (const size_t workers : {size_t{1}, size_t{4}}) {
-    util::ThreadPool pool(workers);
-    std::vector<core::LossKernel> kernels(pool.threads());
-    std::vector<std::string> responses(queries.size());
-    std::vector<std::vector<double>> lane_latencies(pool.threads());
-    auto replay = [&](bool timed) {
-      pool.ParallelFor(
-          0, queries.size(), 64, [&](size_t begin, size_t end, size_t lane) {
-            for (size_t i = begin; i < end; ++i) {
-              const auto start = std::chrono::steady_clock::now();
-              responses[i] = engine->HandleLine(queries[i], &kernels[lane]);
-              if (timed) {
-                lane_latencies[lane].push_back(
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-              }
-            }
-          });
-    };
-    replay(/*timed=*/false);  // warm up caches and the JSON parser path
-    const auto start = std::chrono::steady_clock::now();
-    replay(/*timed=*/true);
-    const double elapsed = Seconds(start);
-
-    std::vector<double> latencies;
-    for (const auto& lane : lane_latencies) {
-      latencies.insert(latencies.end(), lane.begin(), lane.end());
-    }
-    std::sort(latencies.begin(), latencies.end());
-    ServeArmRow row;
-    row.workers = workers;
-    row.qps = static_cast<double>(queries.size()) / elapsed;
-    row.p50_us = latencies[latencies.size() / 2];
-    row.p99_us = latencies[latencies.size() * 99 / 100];
-    arms.push_back(row);
-
-    if (baseline.empty()) {
-      baseline = responses;
-      // The 1-worker pass also gates label fidelity: every served
-      // cluster id must equal the batch Phase-3 assignment.
-      for (size_t t = 0; t < responses.size(); ++t) {
-        auto parsed = util::ParseJson(responses[t]);
-        if (!parsed.ok() || parsed->Find("cluster") == nullptr ||
-            parsed->Find("cluster")->integer != batch_assignments[t]) {
-          bit_identical = false;
-          break;
-        }
-      }
-    } else {
-      bit_identical = bit_identical && responses == baseline;
-    }
-  }
-
-  std::printf("{\"benchmark\": \"serve\", \"tuples\": %zu, "
-              "\"clusters\": %zu, \"bit_identical\": %s, \"arms\": [",
-              rel.NumTuples(), clusters, bit_identical ? "true" : "false");
-  for (size_t i = 0; i < arms.size(); ++i) {
-    std::printf("%s{\"workers\": %zu, \"qps\": %.1f, \"p50_us\": %.2f, "
-                "\"p99_us\": %.2f}",
-                i > 0 ? ", " : "", arms[i].workers, arms[i].qps,
-                arms[i].p50_us, arms[i].p99_us);
-  }
-  std::printf("]}\n");
-  return bit_identical ? 0 : 1;
 }
 
 /// A blocking loopback NDJSON client for the load harness: one
@@ -1053,368 +768,155 @@ int RunLoadBench(size_t tuples, size_t connections, size_t workers,
                  p99_limit_us);
   }
 
-  std::printf(
-      "{\"benchmark\": \"serve_load\", \"tuples\": %zu, \"models\": 2, "
-      "\"connections\": %zu, \"workers\": %zu, \"batch_max\": %zu, "
-      "\"batch_wait_us\": %d, \"cache_entries\": %zu, \"seconds\": %.2f, "
-      "\"requests\": %llu, \"qps\": %.1f, \"p50_us\": %.2f, "
-      "\"p99_us\": %.2f, \"batches\": %llu, \"mean_batch\": %.2f, "
-      "\"cache_hits\": %llu, \"reload_mid_run\": %s, \"sheds\": %llu, "
-      "\"mismatched\": %llu, \"bit_identical\": %s}\n",
-      rel.NumTuples(), connections, workers, batch_max, batch_wait_us,
-      cache_entries, elapsed, static_cast<unsigned long long>(requests),
-      static_cast<double>(requests) / elapsed, p50, p99,
-      static_cast<unsigned long long>(batches),
-      batches == 0 ? 0.0
-                   : static_cast<double>(batched_requests) /
-                         static_cast<double>(batches),
-      static_cast<unsigned long long>(cache_hits),
-      reload_ok ? "true" : "false",
-      static_cast<unsigned long long>(sheds),
-      static_cast<unsigned long long>(mismatched.load()),
-      bit_identical ? "true" : "false");
+  obs::ReportSection load("serve_load");
+  load.AddField("tuples", static_cast<uint64_t>(rel.NumTuples()));
+  load.AddField("models", 2);
+  load.AddField("connections", static_cast<uint64_t>(connections));
+  load.AddField("workers", static_cast<uint64_t>(workers));
+  load.AddField("batch_max", static_cast<uint64_t>(batch_max));
+  load.AddField("batch_wait_us", batch_wait_us);
+  load.AddField("cache_entries", static_cast<uint64_t>(cache_entries));
+  load.AddField("seconds", elapsed);
+  load.AddField("requests", requests);
+  load.AddField("qps", static_cast<double>(requests) / elapsed);
+  load.AddField("p50_us", p50);
+  load.AddField("p99_us", p99);
+  load.AddField("batches", batches);
+  load.AddField("mean_batch", batches == 0
+                                  ? 0.0
+                                  : static_cast<double>(batched_requests) /
+                                        static_cast<double>(batches));
+  load.AddField("cache_hits", cache_hits);
+  load.AddField("reload_mid_run", reload_ok);
+  load.AddField("sheds", sheds);
+  load.AddField("mismatched", mismatched.load());
+  load.AddField("bit_identical", bit_identical);
+  PrintReport("micro_limbo --load", {std::move(load)});
   return (bit_identical && reload_ok && p99_ok) ? 0 : 1;
 }
 
-/// Escapes one CSV field per RFC 4180 (quoted when it holds a comma,
-/// quote, or newline).
-void AppendCsvField(const std::string& value, std::string* out) {
-  if (value.find_first_of(",\"\n\r") == std::string::npos) {
-    out->append(value);
-    return;
-  }
-  out->push_back('"');
-  for (const char c : value) {
-    if (c == '"') out->push_back('"');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-util::Result<RefitArmRow> MeasureRefitArm(size_t tuples) {
-  RefitArmRow row;
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  row.tuples = rel.NumTuples();
-
-  // The full fit is the refit's alternative, so it is what the speedup
-  // is measured against. φ_T = 1.0 bounds the Phase-1 summary count the
-  // way the paper runs large inputs (see the --stream arm) so the
-  // quadratic Phase-2 matrix doesn't dominate the 100k-tuple run.
-  model::FitOptions fit_options;
-  fit_options.phi_t = 1.0;
-  fit_options.k = 10;
-  const auto fit_start = std::chrono::steady_clock::now();
-  auto fitted = model::FitModel(rel, fit_options);
-  row.fit_seconds = Seconds(fit_start);
-  if (!fitted.ok()) return fitted.status();
-
-  const std::string path =
-      "/tmp/micro_limbo_refit_" + std::to_string(getpid()) + ".limbo";
-  util::Status saved = model::Save(*fitted, path);
-  if (!saved.ok()) return saved;
-  auto parent = model::Load(path);  // picks up the payload checksum
-  if (!parent.ok()) {
-    unlink(path.c_str());
-    return parent.status();
-  }
-
-  // Refit batch: ~1% of the input, replayed from fit-time rows so the
-  // drift score lands on the no-drift patch path by construction.
-  row.extra_rows = std::min<size_t>(rel.NumTuples(),
-                                    std::max<size_t>(tuples / 100, 16));
-  std::string csv;
-  for (relation::AttributeId a = 0; a < rel.NumAttributes(); ++a) {
-    if (a > 0) csv.push_back(',');
-    AppendCsvField(rel.schema().Name(a), &csv);
-  }
-  csv.push_back('\n');
-  for (size_t t = 0; t < row.extra_rows; ++t) {
-    for (relation::AttributeId a = 0; a < rel.NumAttributes(); ++a) {
-      if (a > 0) csv.push_back(',');
-      AppendCsvField(rel.TextAt(static_cast<relation::TupleId>(t), a),
-                     &csv);
-    }
-    csv.push_back('\n');
-  }
-
-  auto source = relation::CsvStringSource::Open(csv);
-  if (!source.ok()) {
-    unlink(path.c_str());
-    return source.status();
-  }
-  const auto refit_start = std::chrono::steady_clock::now();
-  auto refit = model::RefitModel(*parent, *source);
-  row.refit_seconds = Seconds(refit_start);
-  if (!refit.ok()) {
-    unlink(path.c_str());
-    return refit.status();
-  }
-  row.drift_score = refit->drift_score;
-  row.drift_class = model::DriftClassName(refit->drift_class);
-  row.speedup = row.refit_seconds > 0.0
-                    ? row.fit_seconds / row.refit_seconds
-                    : 0.0;
-
-  // Hot-reload gate: serve the parent, precompute expected assign
-  // responses, swap the refitted child in over the same path, replay.
-  // The no-drift patch keeps representatives and dictionary entries
-  // frozen, so every response must come back byte-identical.
-  serve::Registry registry({}, 0);
-  util::Status added = registry.AddModel("refit", path);
-  if (!added.ok()) {
-    unlink(path.c_str());
-    return added;
-  }
-  row.replayed = std::min<size_t>(rel.NumTuples(), 20000);
-  core::LossKernel kernel;
-  std::vector<std::string> queries;
-  std::vector<std::string> expected;
-  queries.reserve(row.replayed);
-  expected.reserve(row.replayed);
-  for (size_t t = 0; t < row.replayed; ++t) {
-    queries.push_back(
-        AssignQuery(rel, static_cast<relation::TupleId>(t), "refit"));
-    expected.push_back(registry.HandleLine(queries.back(), &kernel));
-  }
-  saved = model::Save(refit->bundle, path);
-  if (!saved.ok()) {
-    unlink(path.c_str());
-    return saved;
-  }
-  const util::Status reloaded = registry.Reload("refit");
-  bool lineage_ok = false;
-  for (const serve::ModelInfo& info : registry.ListModels()) {
-    lineage_ok = info.name == "refit" && info.version == 2 &&
-                 info.has_lineage && info.lineage.refit_generation >= 1;
-  }
-  row.reload_ok = reloaded.ok() && lineage_ok;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (registry.HandleLine(queries[i], &kernel) != expected[i]) {
-      ++row.mismatched;
-    }
-  }
-  unlink(path.c_str());
-  return row;
-}
-
-/// Standalone `--refit` mode: one refit arm, one JSON line. Exit 0 iff
-/// the batch stayed on the no-drift path, the patch beat the full fit
-/// by at least 5x, and the reload gate saw zero mismatched responses.
-int RunRefitBench(size_t tuples) {
-  auto arm = MeasureRefitArm(tuples);
-  if (!arm.ok()) {
-    std::fprintf(stderr, "%s\n", arm.status().ToString().c_str());
-    return 1;
-  }
-  const bool no_drift = std::strcmp(arm->drift_class, "no-drift") == 0;
-  const bool speedup_ok = arm->speedup >= 5.0;
-  const bool bit_identical = arm->reload_ok && arm->mismatched == 0;
-  std::printf(
-      "{\"benchmark\": \"refit\", \"tuples\": %zu, \"appended_rows\": %zu, "
-      "\"full_fit_seconds\": %.4f, \"refit_seconds\": %.4f, "
-      "\"speedup\": %.1f, \"drift_score\": %.4f, \"drift_class\": \"%s\", "
-      "\"reload_ok\": %s, \"replayed\": %zu, \"mismatched\": %llu, "
-      "\"bit_identical\": %s}\n",
-      arm->tuples, arm->extra_rows, arm->fit_seconds, arm->refit_seconds,
-      arm->speedup, arm->drift_score, arm->drift_class,
-      arm->reload_ok ? "true" : "false", arm->replayed,
-      static_cast<unsigned long long>(arm->mismatched),
-      bit_identical ? "true" : "false");
-  if (!speedup_ok) {
-    std::fprintf(stderr, "refit speedup %.1fx below the 5x floor\n",
-                 arm->speedup);
-  }
-  return (no_drift && speedup_ok && bit_identical) ? 0 : 1;
-}
-
-/// Standalone `--schemes` mode: the approximate acyclic-scheme miner on
-/// the DB2 join sample and a DBLP-sized generator output. Each dataset
-/// is mined twice — oracle at 1 lane and at 4 — and the scheme lists
-/// (rendered text, J-measures included) must match exactly; the entropy
-/// oracle's determinism contract makes them bit-identical. Exit 0 iff
-/// every dataset agrees across lanes and DBLP yields >= 1 scheme.
-int RunSchemesBench(size_t tuples) {
-  struct Arm {
-    const char* name;
-    relation::Relation rel;
-  };
-  std::vector<Arm> arms;
-  {
-    auto db2 = datagen::Db2Sample::JoinedRelation();
-    if (!db2.ok()) {
-      std::fprintf(stderr, "%s\n", db2.status().ToString().c_str());
-      return 1;
-    }
-    arms.push_back({"db2", std::move(*db2)});
-    datagen::DblpOptions dblp_options;
-    dblp_options.target_tuples = tuples;
-    arms.push_back({"dblp", datagen::GenerateDblp(dblp_options)});
-  }
-  bool ok = true;
-  for (Arm& arm : arms) {
-    schemes::MineOptions options;
-    std::string rendered[2];
-    double seconds[2] = {0.0, 0.0};
-    size_t count = 0;
-    double total_entropy = 0.0;
-    double min_j = 0.0;
-    uint64_t pairs_pruned = 0;
-    uint64_t pairs_evaluated = 0;
-    uint64_t oracle_sets = 0;
-    for (int lane = 0; lane < 2; ++lane) {
-      relation::RelationRowSource source(arm.rel);
-      schemes::EntropyOracleOptions oracle_options;
-      oracle_options.threads = lane == 0 ? 1 : 4;
-      schemes::EntropyOracle oracle(source, oracle_options);
-      const auto start = std::chrono::steady_clock::now();
-      auto mined = schemes::MineAcyclicSchemes(oracle, options);
-      seconds[lane] = Seconds(start);
-      if (!mined.ok()) {
-        std::fprintf(stderr, "%s\n", mined.status().ToString().c_str());
-        return 1;
+/// The `--name=value` flags of one mode, parsed strictly. Any flag the
+/// mode does not take, and any number that does not parse in full, is
+/// reported on stderr and clears ok(), and main exits 2.
+class ModeFlags {
+ public:
+  /// Reads every argument except the mode flag `mode` itself; `known`
+  /// lists the flag names the mode takes.
+  ModeFlags(const std::string& mode, int argc, char** argv,
+            std::initializer_list<const char*> known)
+      : mode_(mode) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == mode) continue;
+      const size_t eq = arg.find('=');
+      const std::string name =
+          arg.substr(0, 2) == "--" && eq != std::string::npos
+              ? arg.substr(2, eq - 2)
+              : "";
+      bool taken = false;
+      for (const char* k : known) taken |= name == k;
+      if (!taken) {
+        std::fprintf(stderr, "micro_limbo %s: unknown flag %s\n",
+                     mode.c_str(), arg.c_str());
+        ok_ = false;
+        continue;
       }
-      count = mined->schemes.size();
-      total_entropy = mined->total_entropy;
-      min_j = mined->schemes.empty() ? 0.0 : mined->schemes[0].j_measure;
-      pairs_pruned = mined->pairs_pruned;
-      pairs_evaluated = mined->pairs_evaluated;
-      oracle_sets = oracle.stats().sets_counted;
-      for (const auto& scheme : mined->schemes) {
-        rendered[lane] += scheme.ToString(arm.rel.schema());
-        rendered[lane].push_back('\n');
-      }
-    }
-    const bool lane_identical = rendered[0] == rendered[1];
-    std::printf(
-        "{\"benchmark\": \"schemes\", \"dataset\": \"%s\", \"tuples\": %zu, "
-        "\"attributes\": %zu, \"epsilon\": %.4f, \"schemes\": %zu, "
-        "\"total_entropy\": %.4f, \"best_j\": %.6f, \"pairs_pruned\": %llu, "
-        "\"pairs_evaluated\": %llu, \"oracle_sets\": %llu, "
-        "\"seconds_1_lane\": %.4f, \"seconds_4_lanes\": %.4f, "
-        "\"lane_identical\": %s}\n",
-        arm.name, arm.rel.NumTuples(), arm.rel.NumAttributes(),
-        options.epsilon, count, total_entropy, min_j,
-        static_cast<unsigned long long>(pairs_pruned),
-        static_cast<unsigned long long>(pairs_evaluated),
-        static_cast<unsigned long long>(oracle_sets), seconds[0], seconds[1],
-        lane_identical ? "true" : "false");
-    if (!lane_identical) {
-      std::fprintf(stderr, "%s: scheme lists differ between 1 and 4 lanes\n",
-                   arm.name);
-      ok = false;
-    }
-    if (std::strcmp(arm.name, "dblp") == 0 && count == 0) {
-      std::fprintf(stderr, "dblp: expected at least one acyclic scheme\n");
-      ok = false;
+      values_[name] = arg.substr(eq + 1);
     }
   }
-  return ok ? 0 : 1;
-}
+
+  bool ok() const { return ok_; }
+
+  std::string Text(const std::string& name) const {
+    auto it = values_.find(name);
+    return it == values_.end() ? "" : it->second;
+  }
+
+  /// An integer in [min, max].
+  size_t Size(const std::string& name, size_t fallback, size_t min = 0,
+              size_t max = SIZE_MAX) {
+    auto it = values_.find(name);
+    size_t value = fallback;
+    if (it != values_.end() &&
+        (!util::ParseSize(it->second, &value) || value < min ||
+         value > max)) {
+      Reject(name,
+             max == SIZE_MAX ? util::StrFormat("an integer >= %zu", min)
+                             : util::StrFormat("an integer in [%zu, %zu]",
+                                               min, max),
+             it->second);
+    }
+    return value;
+  }
+
+  double Real(const std::string& name, double fallback) {
+    auto it = values_.find(name);
+    double value = fallback;
+    if (it != values_.end() && !util::ParseReal(it->second, &value)) {
+      Reject(name, "a finite number", it->second);
+    }
+    return value;
+  }
+
+ private:
+  void Reject(const std::string& name, const std::string& expected,
+              const std::string& got) {
+    std::fprintf(stderr, "micro_limbo %s: --%s must be %s, got \"%s\"\n",
+                 mode_.c_str(), name.c_str(), expected.c_str(), got.c_str());
+    ok_ = false;
+  }
+
+  std::string mode_;
+  std::map<std::string, std::string> values_;
+  bool ok_ = true;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool thread_scaling = false;
-  bool kernel_bench = false;
-  bool report_mode = false;
-  bool stream_bench = false;
-  bool serve_bench = false;
-  bool load_bench = false;
-  bool refit_bench = false;
-  bool schemes_bench = false;
-  size_t refit_tuples = 0;
-  std::string stream_arm;
-  std::string stream_csv;
-  std::string report_path;
-  size_t tuples = 50000;
-  bool tuples_given = false;
-  size_t connections = 8;
-  size_t serve_workers = 4;
-  double load_seconds = 2.0;
-  double p99_limit_us = 0.0;
-  size_t batch_max = 16;
-  int batch_wait_us = 0;
-  size_t cache_entries = 0;
+  std::string mode;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--thread-scaling") == 0) {
-      thread_scaling = true;
-    } else if (std::strcmp(argv[i], "--kernel") == 0) {
-      kernel_bench = true;
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      stream_bench = true;
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve_bench = true;
-    } else if (std::strcmp(argv[i], "--load") == 0) {
-      load_bench = true;
-    } else if (std::strcmp(argv[i], "--refit") == 0) {
-      refit_bench = true;
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      schemes_bench = true;
-    } else if (std::strncmp(argv[i], "--refit-tuples=", 15) == 0) {
-      refit_tuples = static_cast<size_t>(std::strtoull(argv[i] + 15,
-                                                       nullptr, 10));
-    } else if (std::strncmp(argv[i], "--connections=", 14) == 0) {
-      connections = static_cast<size_t>(std::strtoull(argv[i] + 14,
-                                                      nullptr, 10));
-    } else if (std::strncmp(argv[i], "--serve-workers=", 16) == 0) {
-      serve_workers = static_cast<size_t>(std::strtoull(argv[i] + 16,
-                                                        nullptr, 10));
-    } else if (std::strncmp(argv[i], "--load-seconds=", 15) == 0) {
-      load_seconds = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--p99-limit-us=", 15) == 0) {
-      p99_limit_us = std::strtod(argv[i] + 15, nullptr);
-    } else if (std::strncmp(argv[i], "--batch-max=", 12) == 0) {
-      batch_max = static_cast<size_t>(std::strtoull(argv[i] + 12,
-                                                    nullptr, 10));
-    } else if (std::strncmp(argv[i], "--batch-wait-us=", 16) == 0) {
-      batch_wait_us = static_cast<int>(std::strtol(argv[i] + 16,
-                                                   nullptr, 10));
-    } else if (std::strncmp(argv[i], "--cache-entries=", 16) == 0) {
-      cache_entries = static_cast<size_t>(std::strtoull(argv[i] + 16,
-                                                        nullptr, 10));
-    } else if (std::strncmp(argv[i], "--stream-arm=", 13) == 0) {
-      stream_arm = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--stream-csv=", 13) == 0) {
-      stream_csv = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--report") == 0) {
-      report_mode = true;
-    } else if (std::strncmp(argv[i], "--report=", 9) == 0) {
-      report_mode = true;
-      report_path = argv[i] + 9;
-    } else {
-      unsigned long long n = 0;
-      if (std::sscanf(argv[i], "--tuples=%llu", &n) == 1 && n > 0) {
-        tuples = static_cast<size_t>(n);
-        tuples_given = true;
-      }
-    }
+    const std::string arg = argv[i];
+    if (arg == "--kernel" || arg == "--stream" || arg == "--load") mode = arg;
+    if (arg.rfind("--stream-arm=", 0) == 0) mode = "--stream-arm";
   }
-  if (!stream_arm.empty()) return RunStreamArm(stream_arm, stream_csv);
-  if (stream_bench) return RunStreamBench(tuples_given ? tuples : 20000);
-  if (serve_bench) return RunServeBench(tuples_given ? tuples : 10000);
-  if (load_bench) {
-    if (connections == 0) connections = 1;
-    if (serve_workers == 0) serve_workers = 1;
-    if (load_seconds <= 0.0) load_seconds = 2.0;
-    if (batch_max == 0) batch_max = 1;
-    if (batch_wait_us < 0) batch_wait_us = 0;
-    return RunLoadBench(tuples_given ? tuples : 5000, connections,
-                        serve_workers, load_seconds, p99_limit_us,
-                        batch_max, batch_wait_us, cache_entries);
+  if (mode == "--kernel") {
+    const ModeFlags flags(mode, argc, argv, {});
+    return flags.ok() ? RunKernelBench() : 2;
   }
-  if (refit_bench) return RunRefitBench(tuples_given ? tuples : 20000);
-  if (schemes_bench) return RunSchemesBench(tuples_given ? tuples : 20000);
-  if (thread_scaling) return RunThreadScaling(tuples);
-  if (kernel_bench) return RunKernelBench(tuples_given ? tuples : 10000);
-  if (report_mode) {
-    const size_t report_tuples = tuples_given ? tuples : 10000;
-    return RunReportMode(report_tuples, report_path,
-                         refit_tuples > 0 ? refit_tuples : report_tuples);
+  if (mode == "--stream-arm") {
+    const ModeFlags flags(mode, argc, argv, {"stream-arm", "stream-csv"});
+    if (!flags.ok()) return 2;
+    return RunStreamArm(flags.Text("stream-arm"), flags.Text("stream-csv"));
+  }
+  if (mode == "--stream") {
+    ModeFlags flags(mode, argc, argv, {"tuples"});
+    const size_t tuples = flags.Size("tuples", 20000, 1);
+    if (!flags.ok()) return 2;
+    return RunStreamBench(tuples);
+  }
+  if (mode == "--load") {
+    ModeFlags flags(mode, argc, argv,
+                    {"tuples", "connections", "serve-workers", "load-seconds",
+                     "p99-limit-us", "batch-max", "batch-wait-us",
+                     "cache-entries"});
+    const size_t tuples = flags.Size("tuples", 5000, 1);
+    const size_t connections = flags.Size("connections", 8);
+    const size_t serve_workers = flags.Size("serve-workers", 4);
+    const double load_seconds = flags.Real("load-seconds", 2.0);
+    const double p99_limit_us = flags.Real("p99-limit-us", 0.0);
+    const size_t batch_max = flags.Size("batch-max", 16);
+    const size_t batch_wait_us = flags.Size("batch-wait-us", 0, 0, 1000000);
+    const size_t cache_entries = flags.Size("cache-entries", 0);
+    if (!flags.ok()) return 2;
+    return RunLoadBench(tuples, std::max<size_t>(connections, 1),
+                        std::max<size_t>(serve_workers, 1),
+                        load_seconds > 0.0 ? load_seconds : 2.0, p99_limit_us,
+                        std::max<size_t>(batch_max, 1),
+                        static_cast<int>(batch_wait_us), cache_entries);
   }
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,7 +1,10 @@
 #include "util/strings.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace limbo::util {
 
@@ -41,6 +44,26 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
+}
+
+bool ParseReal(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseSize(const std::string& text, size_t* out) {
+  if (text.empty() || text.size() > 19) return false;
+  for (const char c : text) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+  }
+  *out = static_cast<size_t>(std::stoull(text));
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

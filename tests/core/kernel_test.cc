@@ -13,6 +13,8 @@
 #include "core/dcf.h"
 #include "core/limbo.h"
 #include "core/prob.h"
+#include "core/tuple_clustering.h"
+#include "datagen/dblp.h"
 #include "reference/per_pair.h"
 
 namespace limbo::core {
@@ -366,22 +368,56 @@ TEST_P(KernelEquivalenceTest, AibMinKAtQMakesNoMerges) {
   EXPECT_EQ(result->stats().distance_evals, 20u * 19u / 2u);
 }
 
+/// Runs Phase 3 of `objects` against `reps` at `threads` lanes and checks
+/// every label and loss against the per-pair reference, bit for bit.
+void ExpectPhase3MatchesReference(const std::vector<Dcf>& objects,
+                                  const std::vector<Dcf>& reps,
+                                  size_t threads) {
+  std::vector<double> batch_loss;
+  auto batch = LimboPhase3(objects, reps, &batch_loss, threads);
+  ASSERT_TRUE(batch.ok());
+  const reference::Assignment pair = reference::AssignToNearest(objects, reps);
+  EXPECT_EQ(*batch, pair.labels);
+  ASSERT_EQ(batch_loss.size(), pair.losses.size());
+  for (size_t i = 0; i < batch_loss.size(); ++i) {
+    EXPECT_EQ(batch_loss[i], pair.losses[i]) << i;
+  }
+}
+
 TEST_P(KernelEquivalenceTest, Phase3AssignmentsAndLossesBitIdentical) {
   const std::vector<Dcf> objects = MixedInputs();
   auto aib = AgglomerativeIb(objects);
   ASSERT_TRUE(aib.ok());
   auto reps = ClusterDcfsAtK(objects, *aib, 5);
   ASSERT_TRUE(reps.ok());
-  std::vector<double> batch_loss;
-  auto batch = LimboPhase3(objects, *reps, &batch_loss, GetParam());
-  ASSERT_TRUE(batch.ok());
-  const reference::Assignment pair =
-      reference::AssignToNearest(objects, *reps);
-  EXPECT_EQ(*batch, pair.labels);
-  ASSERT_EQ(batch_loss.size(), pair.losses.size());
-  for (size_t i = 0; i < batch_loss.size(); ++i) {
-    EXPECT_EQ(batch_loss[i], pair.losses[i]) << i;
-  }
+  ExpectPhase3MatchesReference(objects, *reps, GetParam());
+}
+
+// The inputs a real fit hands Phase 2: the Phase-1 leaves of 2,000 DBLP
+// tuples at φ = 0.5 (about 200 of them). Phase 3 then scans all 2,000
+// tuples against the k = 10 representatives cut from that merge sequence.
+TEST_P(KernelEquivalenceTest, DblpPhase1LeavesBitIdentical) {
+  datagen::DblpOptions dblp;
+  dblp.target_tuples = 2000;
+  const std::vector<Dcf> objects =
+      BuildTupleObjects(datagen::GenerateDblp(dblp));
+  LimboOptions options;
+  options.phi = 0.5;
+  options.threads = GetParam();
+  VectorDcfStream stream(objects);
+  auto phase1 = SummarizePhase1(stream, options);
+  ASSERT_TRUE(phase1.ok());
+  const std::vector<Dcf>& leaves = phase1->leaves;
+  ASSERT_GT(leaves.size(), 100u);
+  ExpectAibMatchesReference(leaves, 1, GetParam());
+
+  AibOptions aib_options;
+  aib_options.threads = GetParam();
+  auto aib = AgglomerativeIb(leaves, aib_options);
+  ASSERT_TRUE(aib.ok());
+  auto reps = ClusterDcfsAtK(leaves, *aib, 10);
+  ASSERT_TRUE(reps.ok());
+  ExpectPhase3MatchesReference(objects, *reps, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelEquivalenceTest,

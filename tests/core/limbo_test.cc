@@ -204,7 +204,8 @@ TEST_P(LimboThreadsTest, Phase3BitIdenticalToSerial) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, LimboThreadsTest, ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Threads, LimboThreadsTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(LimboTest, PhaseTimingsPopulated) {
   LimboOptions options;

@@ -1,9 +1,9 @@
 // Goldens for the default model fit: the byte size and an FNV-1a digest
-// of the saved bundle, on DB2 and on 3k DBLP tuples, at 1 and 4 worker
-// lanes. The bundle freezes every stage of a fit (Phase-1 leaves, AIB
-// merges, Phase-3 assignments, value groups, the dendrogram, ranked FDs
-// and the refit tree), so a layout change anywhere under FitModel that
-// moves one bit fails here.
+// of the saved bundle, on DB2 and on 3k DBLP tuples, at 1, 2, 4 and 8
+// worker lanes. The bundle freezes every stage of a fit (Phase-1 leaves,
+// AIB merges, Phase-3 assignments, value groups, the dendrogram, ranked
+// FDs and the refit tree), so a layout change anywhere under FitModel
+// that moves one bit fails here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -86,7 +86,8 @@ TEST_P(FitBundleGolden, Dblp3k) {
   EXPECT_EQ(got.digest, kDblp3k.digest);
 }
 
-INSTANTIATE_TEST_SUITE_P(Lanes, FitBundleGolden, ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Lanes, FitBundleGolden,
+                         ::testing::Values(1, 2, 4, 8));
 
 }  // namespace
 }  // namespace limbo::model

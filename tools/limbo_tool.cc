@@ -58,9 +58,7 @@
 // Unknown flags are rejected with exit code 2 — the doc-consistency
 // check (tools/doc_check.py) relies on that.
 
-#include <cctype>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -104,30 +102,6 @@ namespace {
 
 using namespace limbo;  // NOLINT
 
-/// Strict parse of a real-valued flag: the whole token is one finite
-/// number (what std::atof would silently turn "abc" into 0 for).
-bool ParseReal(const std::string& text, double* out) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (*end != '\0' || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-/// Strict parse of a size flag: every byte a digit (no sign, no
-/// exponent), at most 19 digits so the value fits in 64 bits.
-bool ParseSize(const std::string& text, size_t* out) {
-  if (text.empty() || text.size() > 19) return false;
-  for (const char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  *out = static_cast<size_t>(std::stoull(text));
-  return true;
-}
-
 /// Flags whose values are real numbers or sizes; ValidateFlags rejects a
 /// value these parsers refuse, so the getters below never see one.
 const std::set<std::string> kRealFlags = {
@@ -146,13 +120,13 @@ struct Args {
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     double value = fallback;
-    if (it != flags.end()) ParseReal(it->second, &value);
+    if (it != flags.end()) util::ParseReal(it->second, &value);
     return value;
   }
   size_t GetSize(const std::string& key, size_t fallback) const {
     auto it = flags.find(key);
     size_t value = fallback;
-    if (it != flags.end()) ParseSize(it->second, &value);
+    if (it != flags.end()) util::ParseSize(it->second, &value);
     return value;
   }
   std::string GetString(const std::string& key,
@@ -221,9 +195,9 @@ int ValidateFlags(const Args& args) {
     double real = 0.0;
     size_t size = 0;
     const char* expected = nullptr;
-    if (kRealFlags.count(flag) > 0 && !ParseReal(value, &real)) {
+    if (kRealFlags.count(flag) > 0 && !util::ParseReal(value, &real)) {
       expected = "a finite number";
-    } else if (kSizeFlags.count(flag) > 0 && !ParseSize(value, &size)) {
+    } else if (kSizeFlags.count(flag) > 0 && !util::ParseSize(value, &size)) {
       expected = "a non-negative integer";
     }
     if (expected != nullptr) {
