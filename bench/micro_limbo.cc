@@ -24,15 +24,15 @@
 //    protocol.)
 //  * `micro_limbo --load [--tuples=N] [--connections=C]
 //    [--serve-workers=W] [--load-seconds=S] [--p99-limit-us=X]
-//    [--batch-max=B] [--batch-wait-us=U] [--cache-entries=E]` is the
+//    [--batch-max=B] [--cache-entries=E]` is the
 //    closed-loop TCP load harness: two model bundles (k=10 and k=4 over
 //    the same DBLP input) are frozen to disk and served by an in-process
 //    serve::Server (reactor + worker-lane batching — the exact stack
 //    behind limbo-serve), C client connections drive assign queries
 //    routed across both models as fast as responses come back, and one
 //    blue/green hot reload fires mid-run through the admin protocol.
-//    --batch-max/--batch-wait-us shape the server's cross-connection
-//    batching (1 disables it); --cache-entries enables the registry's
+//    --batch-max shapes the server's cross-connection batching (1
+//    disables it); --cache-entries enables the registry's
 //    version-keyed response cache (0 = off), so cache hits must survive
 //    the mid-run reload byte-identically. Every response is
 //    byte-compared against the engine-computed expectation for its
@@ -621,7 +621,7 @@ class LoadClient {
 /// response against the per-model expectation.
 int RunLoadBench(size_t tuples, size_t connections, size_t workers,
                  double seconds, double p99_limit_us, size_t batch_max,
-                 int batch_wait_us, size_t cache_entries) {
+                 size_t cache_entries) {
   datagen::DblpOptions dblp_options;
   dblp_options.target_tuples = tuples;
   const relation::Relation rel = datagen::GenerateDblp(dblp_options);
@@ -670,7 +670,6 @@ int RunLoadBench(size_t tuples, size_t connections, size_t workers,
   server_options.workers = workers;
   server_options.poll_ms = 20;
   server_options.batch_max = batch_max;
-  server_options.batch_wait_us = batch_wait_us;
   auto server = serve::Server::Start(&registry, server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
@@ -774,7 +773,6 @@ int RunLoadBench(size_t tuples, size_t connections, size_t workers,
   load.AddField("connections", static_cast<uint64_t>(connections));
   load.AddField("workers", static_cast<uint64_t>(workers));
   load.AddField("batch_max", static_cast<uint64_t>(batch_max));
-  load.AddField("batch_wait_us", batch_wait_us);
   load.AddField("cache_entries", static_cast<uint64_t>(cache_entries));
   load.AddField("seconds", elapsed);
   load.AddField("requests", requests);
@@ -898,22 +896,19 @@ int main(int argc, char** argv) {
   if (mode == "--load") {
     ModeFlags flags(mode, argc, argv,
                     {"tuples", "connections", "serve-workers", "load-seconds",
-                     "p99-limit-us", "batch-max", "batch-wait-us",
-                     "cache-entries"});
+                     "p99-limit-us", "batch-max", "cache-entries"});
     const size_t tuples = flags.Size("tuples", 5000, 1);
     const size_t connections = flags.Size("connections", 8);
     const size_t serve_workers = flags.Size("serve-workers", 4);
     const double load_seconds = flags.Real("load-seconds", 2.0);
     const double p99_limit_us = flags.Real("p99-limit-us", 0.0);
     const size_t batch_max = flags.Size("batch-max", 16);
-    const size_t batch_wait_us = flags.Size("batch-wait-us", 0, 0, 1000000);
     const size_t cache_entries = flags.Size("cache-entries", 0);
     if (!flags.ok()) return 2;
     return RunLoadBench(tuples, std::max<size_t>(connections, 1),
                         std::max<size_t>(serve_workers, 1),
                         load_seconds > 0.0 ? load_seconds : 2.0, p99_limit_us,
-                        std::max<size_t>(batch_max, 1),
-                        static_cast<int>(batch_wait_us), cache_entries);
+                        std::max<size_t>(batch_max, 1), cache_entries);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;

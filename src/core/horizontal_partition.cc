@@ -22,8 +22,6 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
 
   LimboOptions limbo_options;
   limbo_options.phi = options.phi;
-  limbo_options.branching = options.branching;
-  limbo_options.leaf_capacity = options.leaf_capacity;
   limbo_options.k = 0;  // full dendrogram; we pick k ourselves
   limbo_options.threads = options.threads;
   limbo_options.stream_chunk = options.stream_chunk;

@@ -14,8 +14,6 @@ struct HorizontalPartitionOptions {
   /// φ_T for the Phase-1 summarization. The paper picks a φ that leaves
   /// on the order of 100 summaries.
   double phi = 0.5;
-  int branching = 4;
-  int leaf_capacity = 0;
   /// Number of partitions; 0 chooses k automatically with the δI/δH knee
   /// heuristic of Section 6.1.2.
   size_t k = 0;

@@ -1,36 +1,11 @@
 #include "core/information_content.h"
 
-#include <unordered_map>
-
-#include "util/strings.h"
+#include "relation/ops.h"
 
 namespace limbo::core {
 
-namespace {
-
 using relation::AttributeId;
 using relation::TupleId;
-
-/// FNV-1a over the row restricted to `attrs`.
-uint64_t HashRestricted(const relation::Relation& rel, TupleId t,
-                        const std::vector<AttributeId>& attrs) {
-  uint64_t h = 1469598103934665603ULL;
-  for (AttributeId a : attrs) {
-    h ^= rel.At(t, a);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool EqualRestricted(const relation::Relation& rel, TupleId x, TupleId y,
-                     const std::vector<AttributeId>& attrs) {
-  for (AttributeId a : attrs) {
-    if (rel.At(x, a) != rel.At(y, a)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 util::Result<InformationContent> AnalyzeInformationContent(
     const relation::Relation& rel,
@@ -53,38 +28,18 @@ util::Result<InformationContent> AnalyzeInformationContent(
     const std::vector<AttributeId> lhs = f.lhs.ToList();
     const std::vector<AttributeId> rhs = f.rhs.Minus(f.lhs).ToList();
     if (rhs.empty()) continue;
-    // Group tuples by LHS; within a group of size >= 2, every RHS cell is
-    // inferable from any *other* member, so all of them are redundant.
-    // (With the empty LHS, every tuple is in one group: a constant column
-    // of n >= 2 rows is redundant everywhere.)
-    std::unordered_map<uint64_t, std::vector<TupleId>> buckets;
+    // Within an LHS group of size >= 2, every RHS cell is inferable from
+    // any *other* member, so all of them are redundant. (With the empty
+    // LHS, every tuple is in one group: a constant column of n >= 2 rows
+    // is redundant everywhere.)
+    const relation::RowGroups groups = relation::GroupRows(rel, lhs);
     for (TupleId t = 0; t < n; ++t) {
-      buckets[HashRestricted(rel, t, lhs)].push_back(t);
-    }
-    for (const auto& [hash, bucket] : buckets) {
-      // Split hash buckets into true groups.
-      std::vector<std::vector<TupleId>> groups;
-      for (TupleId t : bucket) {
-        bool placed = false;
-        for (auto& group : groups) {
-          if (EqualRestricted(rel, group.front(), t, lhs)) {
-            group.push_back(t);
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) groups.push_back({t});
-      }
-      for (const auto& group : groups) {
-        if (group.size() < 2) continue;
-        for (TupleId t : group) {
-          for (AttributeId a : rhs) {
-            const size_t idx = static_cast<size_t>(t) * m + a;
-            if (!redundant[idx]) {
-              redundant[idx] = true;
-              result.cells.push_back({t, a, fi});
-            }
-          }
+      if (groups.size[groups.group[t]] < 2) continue;
+      for (AttributeId a : rhs) {
+        const size_t idx = static_cast<size_t>(t) * m + a;
+        if (!redundant[idx]) {
+          redundant[idx] = true;
+          result.cells.push_back({t, a, fi});
         }
       }
     }

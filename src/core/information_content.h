@@ -33,7 +33,8 @@ struct InformationContent {
   /// 1 − redundant/total: the fraction of cells that carry information
   /// not implied elsewhere. 1.0 = fully normalized w.r.t. the FDs.
   double content = 1.0;
-  /// Every redundant cell with one witness FD.
+  /// Every redundant cell with its first witness FD, ordered by that FD,
+  /// then tuple, then attribute.
   std::vector<CellRedundancy> cells;
 };
 

@@ -16,7 +16,6 @@ DcfTree::Options MakeTreeOptions(const LimboOptions& options,
                                  double threshold) {
   DcfTree::Options tree_options;
   tree_options.branching = options.branching;
-  tree_options.leaf_capacity = options.leaf_capacity;
   tree_options.threshold = threshold;
   return tree_options;
 }

@@ -24,8 +24,6 @@ struct LimboOptions {
   double phi = 0.0;
   /// DCF-tree branching factor B. The paper uses B = 4.
   int branching = 4;
-  /// Leaf capacity (0 = same as branching).
-  int leaf_capacity = 0;
   /// Number of clusters for Phases 2–3; 0 runs Phase 2 down to k = 1 and
   /// skips Phase 3 (useful when the caller wants the whole dendrogram).
   /// Values above the Phase-1 leaf count are clipped to the leaf count.
@@ -183,9 +181,8 @@ class Phase3Assigner {
 /// the accuracy knob φ becomes a threshold: two scans for I(V;T) through
 /// MutualInformationAccumulator, then threshold = φ·I(V;T)/q and one
 /// insert scan with only the DCF tree resident. Exactly three full scans,
-/// each ending in a rewind. Reads phi, branching, leaf_capacity,
-/// stream_chunk and freeze_tree from `options`. Fails on an empty stream
-/// or a negative φ.
+/// each ending in a rewind. Reads phi, branching, stream_chunk and
+/// freeze_tree from `options`. Fails on an empty stream or a negative φ.
 util::Result<Phase1Summary> SummarizePhase1(DcfStream& objects,
                                             const LimboOptions& options);
 

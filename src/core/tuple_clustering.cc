@@ -34,8 +34,6 @@ util::Result<DuplicateTupleReport> FindDuplicateTuples(
 
   LimboOptions limbo_options;
   limbo_options.phi = options.phi_t;
-  limbo_options.branching = options.branching;
-  limbo_options.leaf_capacity = options.leaf_capacity;
   VectorDcfStream stream(objects);
   LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1,
                          SummarizePhase1(stream, limbo_options));

@@ -19,8 +19,6 @@ struct DuplicateTupleOptions {
   /// φ_T: accuracy of the Phase-1 summaries. 0.0 finds exact duplicates;
   /// larger values tolerate more differing attribute values.
   double phi_t = 0.1;
-  int branching = 4;
-  int leaf_capacity = 0;
   /// A tuple joins a summary's group only if its association loss is at
   /// most `association_margin` × the Phase-1 threshold — without this,
   /// Phase 3 would drag every tuple into *some* group. The margin > 1

@@ -73,8 +73,6 @@ util::Result<ValueClusteringResult> ClusterValues(
 
   LimboOptions limbo_options;
   limbo_options.phi = options.phi_v;
-  limbo_options.branching = options.branching;
-  limbo_options.leaf_capacity = options.leaf_capacity;
   VectorDcfStream stream(objects);
   LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1,
                          SummarizePhase1(stream, limbo_options));

@@ -26,8 +26,6 @@ struct ValueClusteringOptions {
   /// φ_V: 0.0 groups only perfectly co-occurring values; > 0 tolerates
   /// "almost" perfect co-occurrence (entry errors).
   double phi_v = 0.0;
-  int branching = 4;
-  int leaf_capacity = 0;
   /// Optional Double Clustering input: when non-null, values are expressed
   /// over these tuple-cluster labels (`num_tuple_clusters` many).
   const std::vector<uint32_t>* tuple_labels = nullptr;

@@ -1,68 +1,20 @@
 #include "fd/fd.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+
+#include "relation/ops.h"
 
 namespace limbo::fd {
 
-namespace {
-
-/// FNV-1a hash of the row's value ids restricted to `attrs`.
-uint64_t HashRestricted(const relation::Relation& rel, relation::TupleId t,
-                        const std::vector<relation::AttributeId>& attrs) {
-  uint64_t h = 1469598103934665603ULL;
-  for (relation::AttributeId a : attrs) {
-    h ^= rel.At(t, a);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool EqualRestricted(const relation::Relation& rel, relation::TupleId x,
-                     relation::TupleId y,
-                     const std::vector<relation::AttributeId>& attrs) {
-  for (relation::AttributeId a : attrs) {
-    if (rel.At(x, a) != rel.At(y, a)) return false;
-  }
-  return true;
-}
-
-/// Groups tuple ids by their LHS projection (open hashing on the hash of
-/// the projected row, verified by full comparison).
-std::vector<std::vector<relation::TupleId>> GroupByLhs(
-    const relation::Relation& rel,
-    const std::vector<relation::AttributeId>& lhs) {
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  std::vector<std::vector<relation::TupleId>> groups;
-  for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
-    const uint64_t h = HashRestricted(rel, t, lhs);
-    auto& bucket = buckets[h];
-    bool placed = false;
-    for (size_t gi : bucket) {
-      if (EqualRestricted(rel, groups[gi].front(), t, lhs)) {
-        groups[gi].push_back(t);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      bucket.push_back(groups.size());
-      groups.push_back({t});
-    }
-  }
-  return groups;
-}
-
-}  // namespace
-
 bool Holds(const relation::Relation& rel, const FunctionalDependency& f) {
-  const auto lhs = f.lhs.ToList();
   const auto rhs = f.rhs.ToList();
   if (rhs.empty()) return true;
-  for (const auto& group : GroupByLhs(rel, lhs)) {
-    const relation::TupleId first = group.front();
-    for (size_t i = 1; i < group.size(); ++i) {
-      if (!EqualRestricted(rel, first, group[i], rhs)) return false;
+  const relation::RowGroups groups = relation::GroupRows(rel, f.lhs.ToList());
+  for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
+    const relation::TupleId first = groups.first[groups.group[t]];
+    for (relation::AttributeId a : rhs) {
+      if (rel.At(t, a) != rel.At(first, a)) return false;
     }
   }
   return true;
@@ -70,36 +22,18 @@ bool Holds(const relation::Relation& rel, const FunctionalDependency& f) {
 
 double G3Error(const relation::Relation& rel, const FunctionalDependency& f) {
   const size_t n = rel.NumTuples();
-  if (n == 0) return 0.0;
-  const auto lhs = f.lhs.ToList();
-  const auto rhs = f.rhs.ToList();
-  if (rhs.empty()) return 0.0;
-  // For each LHS group, keep the largest sub-group that agrees on RHS;
-  // the rest must be removed.
-  size_t kept = 0;
-  for (const auto& group : GroupByLhs(rel, lhs)) {
-    std::unordered_map<uint64_t, std::vector<std::pair<relation::TupleId, size_t>>>
-        rhs_counts;
-    size_t best = 0;
-    for (relation::TupleId t : group) {
-      const uint64_t h = HashRestricted(rel, t, rhs);
-      auto& bucket = rhs_counts[h];
-      bool found = false;
-      for (auto& [rep, count] : bucket) {
-        if (EqualRestricted(rel, rep, t, rhs)) {
-          ++count;
-          best = std::max(best, count);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        bucket.push_back({t, 1});
-        best = std::max<size_t>(best, 1);
-      }
-    }
-    kept += best;
+  if (n == 0 || f.rhs.Empty()) return 0.0;
+  // Each X-group keeps its largest X∪Y-group; the rest must be removed.
+  const relation::RowGroups x = relation::GroupRows(rel, f.lhs.ToList());
+  const relation::RowGroups xy =
+      relation::GroupRows(rel, f.lhs.Union(f.rhs).ToList());
+  std::vector<uint64_t> best(x.NumGroups(), 0);
+  for (size_t g = 0; g < xy.NumGroups(); ++g) {
+    uint64_t& b = best[x.group[xy.first[g]]];
+    b = std::max(b, xy.size[g]);
   }
+  uint64_t kept = 0;
+  for (uint64_t b : best) kept += b;
   return static_cast<double>(n - kept) / static_cast<double>(n);
 }
 

@@ -1,49 +1,15 @@
 #include "fd/mvd.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 
-#include "util/logging.h"
+#include "relation/ops.h"
 
 namespace limbo::fd {
 
-namespace {
-
 using relation::AttributeId;
 using relation::TupleId;
-
-/// Hash of a row restricted to the attributes in `attrs`.
-uint64_t HashRestricted(const relation::Relation& rel, TupleId t,
-                        const std::vector<AttributeId>& attrs) {
-  uint64_t h = 1469598103934665603ULL;
-  for (AttributeId a : attrs) {
-    h ^= rel.At(t, a);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Groups tuples by the X-projection (hash-keyed; hash collisions across
-/// different X-values would only make the cross-product test *stricter*
-/// on merged groups, so for exactness we verify with a secondary mix).
-std::unordered_map<uint64_t, std::vector<TupleId>> GroupBy(
-    const relation::Relation& rel, const std::vector<AttributeId>& attrs) {
-  std::unordered_map<uint64_t, std::vector<TupleId>> groups;
-  for (TupleId t = 0; t < rel.NumTuples(); ++t) {
-    // Double hashing (two independent seeds) makes accidental collisions
-    // across distinct projections astronomically unlikely.
-    uint64_t h = HashRestricted(rel, t, attrs);
-    uint64_t h2 = 0x9E3779B97F4A7C15ULL;
-    for (AttributeId a : attrs) {
-      h2 = (h2 ^ (rel.At(t, a) + 0x9E3779B9u)) * 0xC2B2AE3D27D4EB4FULL;
-    }
-    groups[h * 0x100000001B3ULL ^ h2].push_back(t);
-  }
-  return groups;
-}
-
-}  // namespace
 
 bool HoldsMvd(const relation::Relation& rel,
               const MultiValuedDependency& mvd) {
@@ -53,24 +19,33 @@ bool HoldsMvd(const relation::Relation& rel,
   const AttributeSet z = all.Minus(mvd.lhs).Minus(y);
   if (y.Empty() || z.Empty()) return true;  // trivial MVD
 
-  const std::vector<AttributeId> x_list = mvd.lhs.ToList();
   const std::vector<AttributeId> y_list = y.ToList();
   const std::vector<AttributeId> z_list = z.ToList();
+  const std::vector<AttributeId> yz_list = y.Union(z).ToList();
 
-  for (const auto& [key, group] : GroupBy(rel, x_list)) {
-    // Within the group: distinct Y-values, distinct Z-values, distinct
-    // (Y,Z)-pairs. Cross product <=> |YZ| == |Y| * |Z|.
-    std::unordered_set<uint64_t> ys;
-    std::unordered_set<uint64_t> zs;
-    std::unordered_set<uint64_t> yzs;
-    for (TupleId t : group) {
-      const uint64_t hy = HashRestricted(rel, t, y_list);
-      const uint64_t hz = HashRestricted(rel, t, z_list);
-      ys.insert(hy);
-      zs.insert(hz);
-      yzs.insert(hy * 0x100000001B3ULL ^ hz);
+  // Lay the tuples out X-group by X-group (a counting sort on group id).
+  const relation::RowGroups x = relation::GroupRows(rel, mvd.lhs.ToList());
+  std::vector<size_t> offset(x.NumGroups() + 1, 0);
+  for (size_t g = 0; g < x.NumGroups(); ++g) {
+    offset[g + 1] = offset[g] + x.size[g];
+  }
+  std::vector<TupleId> order(rel.NumTuples());
+  std::vector<size_t> fill(offset.begin(), offset.end() - 1);
+  for (TupleId t = 0; t < rel.NumTuples(); ++t) order[fill[x.group[t]]++] = t;
+
+  // Within each X-group the Y- and Z-projections must combine as a full
+  // cross product: |YZ| == |Y| * |Z|, which holds trivially when Y or Z
+  // is constant on the group.
+  for (size_t g = 0; g < x.NumGroups(); ++g) {
+    if (x.size[g] < 2) continue;
+    const std::span<const TupleId> group(order.data() + offset[g], x.size[g]);
+    const size_t ys = relation::GroupRows(rel, y_list, group).NumGroups();
+    if (ys == 1) continue;
+    const size_t zs = relation::GroupRows(rel, z_list, group).NumGroups();
+    if (zs == 1) continue;
+    if (relation::GroupRows(rel, yz_list, group).NumGroups() != ys * zs) {
+      return false;
     }
-    if (yzs.size() != ys.size() * zs.size()) return false;
   }
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -11,29 +10,7 @@ namespace limbo::relation {
 
 namespace {
 
-/// Hash of a row restricted to `attrs` (FNV-1a over value ids).
-struct ProjectedRowKey {
-  const Relation* rel;
-  TupleId t;
-};
-
-uint64_t HashProjected(const Relation& rel, TupleId t,
-                       const std::vector<AttributeId>& attrs) {
-  uint64_t h = 1469598103934665603ULL;
-  for (AttributeId a : attrs) {
-    h ^= rel.At(t, a);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool EqualProjected(const Relation& rel, TupleId x, TupleId y,
-                    const std::vector<AttributeId>& attrs) {
-  for (AttributeId a : attrs) {
-    if (rel.At(x, a) != rel.At(y, a)) return false;
-  }
-  return true;
-}
+constexpr uint32_t kNoGroup = UINT32_MAX;
 
 util::Status ValidateAttributes(const Relation& rel,
                                 const std::vector<AttributeId>& attributes) {
@@ -81,50 +58,61 @@ util::Result<Relation> ProjectNames(const Relation& rel,
   return Project(rel, attrs);
 }
 
+RowGroups GroupRows(const Relation& rel,
+                    const std::vector<AttributeId>& attributes) {
+  std::vector<TupleId> all(rel.NumTuples());
+  for (TupleId t = 0; t < all.size(); ++t) all[t] = t;
+  return GroupRows(rel, attributes, all);
+}
+
+RowGroups GroupRows(const Relation& rel,
+                    const std::vector<AttributeId>& attributes,
+                    std::span<const TupleId> tuples) {
+  RowGroups out;
+  out.group.resize(tuples.size());
+  // Power-of-two bucket heads; groups sharing a bucket chain through
+  // `next`, and `hash` skips most full comparisons on a chain.
+  size_t buckets = 1;
+  while (buckets < tuples.size()) buckets <<= 1;
+  std::vector<uint32_t> head(buckets, kNoGroup);
+  std::vector<uint32_t> next;
+  std::vector<uint64_t> hash;
+  auto same = [&](TupleId x, TupleId y) {
+    for (AttributeId a : attributes) {
+      if (rel.At(x, a) != rel.At(y, a)) return false;
+    }
+    return true;
+  };
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const TupleId t = tuples[i];
+    uint64_t h = 1469598103934665603ULL;
+    for (AttributeId a : attributes) {
+      h ^= rel.At(t, a);
+      h *= 1099511628211ULL;
+    }
+    uint32_t& bucket = head[h & (buckets - 1)];
+    uint32_t g = bucket;
+    while (g != kNoGroup && !(hash[g] == h && same(out.first[g], t))) {
+      g = next[g];
+    }
+    if (g == kNoGroup) {
+      g = static_cast<uint32_t>(out.first.size());
+      out.first.push_back(t);
+      out.size.push_back(0);
+      hash.push_back(h);
+      next.push_back(bucket);
+      bucket = g;
+    }
+    ++out.size[g];
+    out.group[i] = g;
+  }
+  return out;
+}
+
 Relation Distinct(const Relation& rel) {
   std::vector<AttributeId> all(rel.NumAttributes());
   for (size_t a = 0; a < all.size(); ++a) all[a] = static_cast<AttributeId>(a);
-  // Bucket rows by hash, verify with full comparison.
-  std::unordered_map<uint64_t, std::vector<TupleId>> buckets;
-  std::vector<TupleId> keep;
-  for (TupleId t = 0; t < rel.NumTuples(); ++t) {
-    uint64_t h = HashProjected(rel, t, all);
-    auto& bucket = buckets[h];
-    bool dup = false;
-    for (TupleId prev : bucket) {
-      if (EqualProjected(rel, prev, t, all)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(t);
-      keep.push_back(t);
-    }
-  }
-  return SelectRows(rel, keep);
-}
-
-size_t CountDistinctProjected(const Relation& rel,
-                              const std::vector<AttributeId>& attributes) {
-  std::unordered_map<uint64_t, std::vector<TupleId>> buckets;
-  size_t count = 0;
-  for (TupleId t = 0; t < rel.NumTuples(); ++t) {
-    uint64_t h = HashProjected(rel, t, attributes);
-    auto& bucket = buckets[h];
-    bool dup = false;
-    for (TupleId prev : bucket) {
-      if (EqualProjected(rel, prev, t, attributes)) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(t);
-      ++count;
-    }
-  }
-  return count;
+  return SelectRows(rel, GroupRows(rel, all).first);
 }
 
 Relation SelectRows(const Relation& rel,

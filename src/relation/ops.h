@@ -1,6 +1,8 @@
 #ifndef LIMBO_RELATION_OPS_H_
 #define LIMBO_RELATION_OPS_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,13 +20,34 @@ util::Result<Relation> Project(const Relation& rel,
 util::Result<Relation> ProjectNames(const Relation& rel,
                                     const std::vector<std::string>& names);
 
+/// Tuples grouped exactly by their projection on an attribute set.
+/// Groups are numbered in the order of their first tuple.
+struct RowGroups {
+  /// Group id of each grouped tuple, in input order.
+  std::vector<uint32_t> group;
+  /// First tuple of each group.
+  std::vector<TupleId> first;
+  /// Number of tuples in each group.
+  std::vector<uint64_t> size;
+
+  size_t NumGroups() const { return first.size(); }
+};
+
+/// Groups the tuples of `rel` by their values on `attributes` (all
+/// tuples form one group when `attributes` is empty). An FNV-1a hash
+/// over the projected value ids picks a bucket; a full comparison
+/// confirms every match, so the grouping is exact.
+RowGroups GroupRows(const Relation& rel,
+                    const std::vector<AttributeId>& attributes);
+
+/// Same over the listed tuples only: `group[i]` is the group of
+/// `tuples[i]`, and groups are numbered by their first listed tuple.
+RowGroups GroupRows(const Relation& rel,
+                    const std::vector<AttributeId>& attributes,
+                    std::span<const TupleId> tuples);
+
 /// Returns `rel` with duplicate rows removed (first occurrence kept).
 Relation Distinct(const Relation& rel);
-
-/// Number of distinct rows of `rel` projected on `attributes`, without
-/// materializing the projection (set-semantics count used by RTR).
-size_t CountDistinctProjected(const Relation& rel,
-                              const std::vector<AttributeId>& attributes);
 
 /// Returns a relation containing only rows whose ids are in `tuple_ids`.
 Relation SelectRows(const Relation& rel, const std::vector<TupleId>& tuple_ids);

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -49,7 +48,6 @@ Server::Server(Registry* registry, const ServerOptions& options)
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_pending == 0) options_.max_pending = 1;
   if (options_.batch_max == 0) options_.batch_max = 1;
-  if (options_.batch_wait_us < 0) options_.batch_wait_us = 0;
 }
 
 Server::~Server() { Stop(); }
@@ -144,7 +142,6 @@ void Server::EnqueueLines(Conn* conn, std::vector<std::string> lines,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;  // blank line: no request, no response
     conn->lines.push_back(std::move(line));
-    ++pending_requests_;
   }
   const size_t queued = conn->lines.size();  // the peak is written under mu_
   if (queued > peak_queued_lines_.load(std::memory_order_relaxed)) {
@@ -156,8 +153,6 @@ void Server::EnqueueLines(Conn* conn, std::vector<std::string> lines,
     ready_.push_back(conn);
     cv_.notify_one();
   }
-  // Wake lingering lanes the moment a full batch is available.
-  if (pending_requests_ >= options_.batch_max) cv_.notify_all();
 }
 
 void Server::ReadConn(Conn* conn) {
@@ -166,10 +161,7 @@ void Server::ReadConn(Conn* conn) {
   if (n < 0) {
     std::lock_guard<std::mutex> lock(mu_);
     conn->dead = true;
-    if (!conn->claimed && !conn->ready) {
-      pending_requests_ -= conn->lines.size();
-      conn->lines.clear();
-    }
+    if (!conn->claimed && !conn->ready) conn->lines.clear();
     return;
   }
   std::vector<std::string> framed;
@@ -338,16 +330,6 @@ void Server::Lane() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
       if (ready_.empty()) return;  // stopping and nothing left to answer
-      if (options_.batch_wait_us > 0 && !stopping_ &&
-          pending_requests_ < options_.batch_max) {
-        // Linger briefly for a fuller batch; any new frame that
-        // completes one wakes every lane (EnqueueLines notifies).
-        cv_.wait_for(
-            lock, std::chrono::microseconds(options_.batch_wait_us), [this] {
-              return stopping_ || pending_requests_ >= options_.batch_max;
-            });
-        if (ready_.empty()) continue;  // another lane drained everything
-      }
       while (!ready_.empty() && batch.size() < options_.batch_max) {
         Conn* c = ready_.front();
         ready_.pop_front();
@@ -362,7 +344,6 @@ void Server::Lane() {
           batch.push_back(std::move(c->lines.front()));
           c->lines.pop_front();
           order.push_back(c);
-          --pending_requests_;
         }
       }
     }
@@ -395,7 +376,6 @@ void Server::Lane() {
         c->claimed = false;
         if (c->dead) {
           // Peer is gone: the remaining queued requests are unanswerable.
-          pending_requests_ -= c->lines.size();
           c->lines.clear();
         } else if (!c->lines.empty()) {
           c->ready = true;

@@ -37,11 +37,6 @@ struct ServerOptions {
   /// any mix of connections batch together; 1 disables cross-request
   /// batching (every request is its own batch).
   size_t batch_max = 16;
-  /// Linger: with fewer than batch_max requests queued, a woken worker
-  /// waits up to this long (microseconds) for the batch to fill before
-  /// draining what is there. 0 (the default) never delays a request —
-  /// batching stays purely opportunistic under concurrent load.
-  int batch_wait_us = 0;
 };
 
 /// TCP front end over a Registry.
@@ -180,7 +175,6 @@ class Server {
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Conn>> conns_;  // reactor-owned container
   std::deque<Conn*> ready_;       // unclaimed connections with lines
-  size_t pending_requests_ = 0;   // framed lines not yet taken by a lane
   bool stopping_ = false;
   std::vector<std::jthread> lanes_;
 };

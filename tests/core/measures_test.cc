@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "datagen/dblp.h"
+#include "fd/fd.h"
 #include "testing/make_relation.h"
 
 namespace limbo::core {
@@ -67,6 +69,24 @@ TEST(MeasuresTest, RadIsWidthSensitiveRtrSizeSensitive) {
   EXPECT_DOUBLE_EQ(Rad(three, {0}), 1.0);
   EXPECT_DOUBLE_EQ(Rad(two, {0}), 1.0);
   EXPECT_GT(Rtr(three, {0}), Rtr(two, {0}));
+}
+
+TEST(RadTest, EqualPartitionsGiveBitEqualRad) {
+  // On 2,000 DBLP tuples Pages determines both BookTitle and Series, so
+  // {Pages, BookTitle} and {Pages, Series} split the tuples into the same
+  // groups. RAD is a function of that partition alone and must agree to
+  // the last bit, whatever the value ids of the two right-hand sides.
+  datagen::DblpOptions options;
+  options.target_tuples = 2000;
+  const relation::Relation rel = datagen::GenerateDblp(options);
+  const auto pages = rel.schema().Find("Pages");
+  const auto booktitle = rel.schema().Find("BookTitle");
+  const auto series = rel.schema().Find("Series");
+  ASSERT_TRUE(pages.ok() && booktitle.ok() && series.ok());
+  const fd::AttributeSet lhs = fd::AttributeSet::Single(*pages);
+  ASSERT_TRUE(fd::Holds(rel, {lhs, fd::AttributeSet::Single(*booktitle)}));
+  ASSERT_TRUE(fd::Holds(rel, {lhs, fd::AttributeSet::Single(*series)}));
+  EXPECT_EQ(Rad(rel, {*pages, *booktitle}), Rad(rel, {*pages, *series}));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "testing/make_relation.h"
 
 namespace limbo::fd {
@@ -10,6 +14,47 @@ namespace {
 using limbo::testing::MakeRelation;
 using limbo::testing::PaperFigure4;
 using limbo::testing::PaperFigure5;
+using limbo::testing::RandomRelation;
+
+std::vector<relation::ValueId> Values(const relation::Relation& rel,
+                                      relation::TupleId t, AttributeSet x) {
+  std::vector<relation::ValueId> values;
+  for (relation::AttributeId a : x.ToList()) values.push_back(rel.At(t, a));
+  return values;
+}
+
+/// X → Y by definition: every pair of tuples that agrees on X agrees on Y.
+bool BruteHolds(const relation::Relation& rel, const FunctionalDependency& f) {
+  for (relation::TupleId s = 0; s < rel.NumTuples(); ++s) {
+    for (relation::TupleId t = s + 1; t < rel.NumTuples(); ++t) {
+      if (Values(rel, s, f.lhs) == Values(rel, t, f.lhs) &&
+          Values(rel, s, f.rhs) != Values(rel, t, f.rhs)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// g3 by definition: each X-value keeps its most frequent Y-value, and
+/// every other tuple must go.
+double BruteG3(const relation::Relation& rel, const FunctionalDependency& f) {
+  const size_t n = rel.NumTuples();
+  if (n == 0) return 0.0;
+  std::map<std::vector<relation::ValueId>,
+           std::map<std::vector<relation::ValueId>, size_t>>
+      counts;
+  for (relation::TupleId t = 0; t < n; ++t) {
+    ++counts[Values(rel, t, f.lhs)][Values(rel, t, f.rhs)];
+  }
+  size_t kept = 0;
+  for (const auto& [x, ys] : counts) {
+    size_t best = 0;
+    for (const auto& [y, count] : ys) best = std::max(best, count);
+    kept += best;
+  }
+  return static_cast<double>(n - kept) / static_cast<double>(n);
+}
 
 FunctionalDependency Fd(std::vector<relation::AttributeId> lhs,
                         std::vector<relation::AttributeId> rhs) {
@@ -72,6 +117,38 @@ TEST(G3ErrorTest, WorstCase) {
   const auto rel =
       MakeRelation({"A", "B"}, {{"c", "1"}, {"c", "2"}, {"c", "1"}, {"c", "2"}});
   EXPECT_DOUBLE_EQ(G3Error(rel, Fd({0}, {1})), 0.5);
+}
+
+TEST(HoldsTest, MatchesPairwiseDefinitionOnRandomRelations) {
+  size_t holding = 0;
+  size_t failing = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto rel = RandomRelation(seed * 2, 4, 2 + seed % 2, seed);
+    for (uint64_t lhs = 0; lhs < 16; ++lhs) {
+      for (uint64_t rhs = 0; rhs < 16; ++rhs) {
+        const FunctionalDependency f{AttributeSet(lhs), AttributeSet(rhs)};
+        const bool holds = BruteHolds(rel, f);
+        EXPECT_EQ(Holds(rel, f), holds)
+            << "seed " << seed << " " << f.ToString(rel.schema());
+        ++(holds ? holding : failing);
+      }
+    }
+  }
+  EXPECT_GT(holding, 0u);
+  EXPECT_GT(failing, 0u);
+}
+
+TEST(G3ErrorTest, MatchesMinimumRemovalOnRandomRelations) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto rel = RandomRelation(seed * 2 - 1, 4, 2 + seed % 2, seed);
+    for (uint64_t lhs = 0; lhs < 16; ++lhs) {
+      for (uint64_t rhs = 1; rhs < 16; ++rhs) {
+        const FunctionalDependency f{AttributeSet(lhs), AttributeSet(rhs)};
+        EXPECT_EQ(G3Error(rel, f), BruteG3(rel, f))
+            << "seed " << seed << " " << f.ToString(rel.schema());
+      }
+    }
+  }
 }
 
 TEST(FdToStringTest, RendersWithNames) {

@@ -69,7 +69,7 @@ TEST(KeyMinerTest, MinimalityAgainstBruteForce) {
     auto keys = MineMinimalKeys(rel);
     ASSERT_TRUE(keys.ok());
     auto distinct = [&](AttributeSet x) {
-      return relation::CountDistinctProjected(rel, x.ToList()) ==
+      return relation::GroupRows(rel, x.ToList()).NumGroups() ==
              rel.NumTuples();
     };
     for (AttributeSet key : *keys) {

@@ -11,7 +11,6 @@
 #include "fd/fdep.h"
 #include "fd/tane.h"
 #include "testing/make_relation.h"
-#include "util/random.h"
 
 namespace limbo::fd {
 namespace {
@@ -24,20 +23,8 @@ struct Shape {
 };
 
 relation::Relation RandomRelation(const Shape& shape) {
-  util::Random rng(shape.seed);
-  std::vector<std::string> header;
-  for (size_t a = 0; a < shape.attributes; ++a) {
-    header.push_back("A" + std::to_string(a));
-  }
-  std::vector<std::vector<std::string>> rows;
-  for (size_t t = 0; t < shape.tuples; ++t) {
-    std::vector<std::string> row;
-    for (size_t a = 0; a < shape.attributes; ++a) {
-      row.push_back("v" + std::to_string(rng.Uniform(shape.domain)));
-    }
-    rows.push_back(std::move(row));
-  }
-  return limbo::testing::MakeRelation(header, rows);
+  return limbo::testing::RandomRelation(shape.tuples, shape.attributes,
+                                        shape.domain, shape.seed);
 }
 
 class MinerAgreementTest : public ::testing::TestWithParam<Shape> {};

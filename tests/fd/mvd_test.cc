@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "testing/make_relation.h"
 
@@ -10,6 +11,35 @@ namespace limbo::fd {
 namespace {
 
 using limbo::testing::MakeRelation;
+using limbo::testing::RandomRelation;
+
+bool Agree(const relation::Relation& rel, relation::TupleId s,
+           relation::TupleId t, AttributeSet x) {
+  for (relation::AttributeId a : x.ToList()) {
+    if (rel.At(s, a) != rel.At(t, a)) return false;
+  }
+  return true;
+}
+
+/// X ↠ Y by the tuple-swap definition: for every t1, t2 agreeing on X
+/// some t3 agrees with t1 on X ∪ Y and with t2 on Z = R − X − Y.
+bool BruteHoldsMvd(const relation::Relation& rel,
+                   const MultiValuedDependency& mvd) {
+  const AttributeSet xy = mvd.lhs.Union(mvd.rhs);
+  const AttributeSet z = AttributeSet::Full(rel.NumAttributes()).Minus(xy);
+  const relation::TupleId n = static_cast<relation::TupleId>(rel.NumTuples());
+  for (relation::TupleId t1 = 0; t1 < n; ++t1) {
+    for (relation::TupleId t2 = 0; t2 < n; ++t2) {
+      if (!Agree(rel, t1, t2, mvd.lhs)) continue;
+      bool found = false;
+      for (relation::TupleId t3 = 0; t3 < n && !found; ++t3) {
+        found = Agree(rel, t3, t1, xy) && Agree(rel, t3, t2, z);
+      }
+      if (!found) return false;
+    }
+  }
+  return true;
+}
 
 MultiValuedDependency Mvd(std::vector<relation::AttributeId> lhs,
                           std::vector<relation::AttributeId> rhs) {
@@ -62,6 +92,25 @@ TEST(MvdTest, EveryFdIsAnMvd) {
   // A -> B holds, so A ->> B must hold.
   ASSERT_TRUE(Holds(rel, {AttributeSet::Single(0), AttributeSet::Single(1)}));
   EXPECT_TRUE(HoldsMvd(rel, Mvd({0}, {1})));
+}
+
+TEST(MvdTest, MatchesTupleSwapDefinitionOnRandomRelations) {
+  size_t holding = 0;
+  size_t failing = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto rel = RandomRelation(3 + seed * 2, 4, 2, seed);
+    for (uint64_t lhs = 0; lhs < 16; ++lhs) {
+      for (uint64_t rhs = 1; rhs < 16; ++rhs) {
+        const MultiValuedDependency mvd{AttributeSet(lhs), AttributeSet(rhs)};
+        const bool holds = BruteHoldsMvd(rel, mvd);
+        EXPECT_EQ(HoldsMvd(rel, mvd), holds)
+            << "seed " << seed << " " << mvd.ToString(rel.schema());
+        ++(holds ? holding : failing);
+      }
+    }
+  }
+  EXPECT_GT(holding, 0u);
+  EXPECT_GT(failing, 0u);
 }
 
 TEST(MvdMinerTest, FindsPlantedMvd) {

@@ -2,12 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "testing/make_relation.h"
+#include "util/random.h"
 
 namespace limbo::relation {
 namespace {
 
 using limbo::testing::MakeRelation;
+using limbo::testing::RandomRelation;
+
+/// Reference group-by: a std::map from the projected value ids to the
+/// group id, groups numbered by their first listed tuple.
+RowGroups MapGroups(const Relation& rel,
+                    const std::vector<AttributeId>& attributes,
+                    const std::vector<TupleId>& tuples) {
+  std::map<std::vector<ValueId>, uint32_t> ids;
+  RowGroups out;
+  for (TupleId t : tuples) {
+    std::vector<ValueId> key;
+    for (AttributeId a : attributes) key.push_back(rel.At(t, a));
+    const auto [it, inserted] =
+        ids.emplace(key, static_cast<uint32_t>(out.first.size()));
+    if (inserted) {
+      out.first.push_back(t);
+      out.size.push_back(0);
+    }
+    ++out.size[it->second];
+    out.group.push_back(it->second);
+  }
+  return out;
+}
+
+std::vector<TupleId> AllTuples(const Relation& rel) {
+  std::vector<TupleId> all(rel.NumTuples());
+  for (TupleId t = 0; t < all.size(); ++t) all[t] = t;
+  return all;
+}
+
+void ExpectSameGroups(const RowGroups& got, const RowGroups& want) {
+  EXPECT_EQ(got.group, want.group);
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.NumGroups(), want.first.size());
+}
 
 TEST(ProjectTest, ProjectsColumnsBagSemantics) {
   Relation r = MakeRelation({"A", "B", "C"},
@@ -54,9 +95,9 @@ TEST(DistinctTest, NoopOnUniqueRows) {
 TEST(CountDistinctProjectedTest, CountsSetSemantics) {
   Relation r = MakeRelation(
       {"A", "B"}, {{"1", "x"}, {"1", "y"}, {"2", "x"}, {"1", "x"}});
-  EXPECT_EQ(CountDistinctProjected(r, {0}), 2u);       // {1, 2}
-  EXPECT_EQ(CountDistinctProjected(r, {1}), 2u);       // {x, y}
-  EXPECT_EQ(CountDistinctProjected(r, {0, 1}), 3u);    // (1,x),(1,y),(2,x)
+  EXPECT_EQ(GroupRows(r, {0}).NumGroups(), 2u);     // {1, 2}
+  EXPECT_EQ(GroupRows(r, {1}).NumGroups(), 2u);     // {x, y}
+  EXPECT_EQ(GroupRows(r, {0, 1}).NumGroups(), 3u);  // (1,x),(1,y),(2,x)
 }
 
 TEST(SelectRowsTest, KeepsRequestedRowsInOrder) {
@@ -122,6 +163,54 @@ TEST(EquiJoinTest, MissingKeyAttributeFails) {
   Relation b = MakeRelation({"B"}, {{"1"}});
   EXPECT_FALSE(EquiJoin(a, b, {{"nope", "B"}}).ok());
   EXPECT_FALSE(EquiJoin(a, b, {}).ok());
+}
+
+TEST(GroupRowsTest, MatchesMapReferenceOnRandomRelations) {
+  // Seeds 1 and 2 give n = 0 and n = 1; every fourth seed draws from a
+  // one-symbol alphabet, so all of its rows are equal.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const size_t rows = seed < 3 ? seed - 1 : seed * 3;
+    const Relation rel = RandomRelation(rows, 4, 1 + seed % 4, seed);
+    // Every attribute subset; the empty one puts all rows in one group.
+    for (uint32_t bits = 0; bits < 16; ++bits) {
+      std::vector<AttributeId> attributes;
+      for (AttributeId a = 0; a < 4; ++a) {
+        if (bits & (1u << a)) attributes.push_back(a);
+      }
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " bits " << bits);
+      ExpectSameGroups(GroupRows(rel, attributes),
+                       MapGroups(rel, attributes, AllTuples(rel)));
+    }
+  }
+}
+
+TEST(GroupRowsTest, AllDistinctRowsAreSingletons) {
+  const Relation rel =
+      MakeRelation({"A", "B"}, {{"1", "x"}, {"2", "x"}, {"1", "y"}});
+  const RowGroups groups = GroupRows(rel, {0, 1});
+  EXPECT_EQ(groups.group, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(groups.first, (std::vector<TupleId>{0, 1, 2}));
+  EXPECT_EQ(groups.size, (std::vector<uint64_t>{1, 1, 1}));
+}
+
+TEST(GroupRowsTest, TupleListOverloadFollowsListOrder) {
+  const Relation rel = RandomRelation(40, 3, 3, 11);
+  util::Random rng(3);
+  for (int trial = 0; trial < 10; ++trial) {
+    // A shuffled subset: groups are numbered by their first *listed*
+    // tuple, and group[i] belongs to tuples[i].
+    std::vector<TupleId> tuples = AllTuples(rel);
+    for (size_t i = tuples.size(); i > 1; --i) {
+      std::swap(tuples[i - 1], tuples[rng.Uniform(i)]);
+    }
+    tuples.resize(rng.Uniform(tuples.size() + 1));
+    for (const std::vector<AttributeId>& attributes :
+         {std::vector<AttributeId>{0}, std::vector<AttributeId>{1, 2},
+          std::vector<AttributeId>{}}) {
+      ExpectSameGroups(GroupRows(rel, attributes, tuples),
+                       MapGroups(rel, attributes, tuples));
+    }
+  }
 }
 
 }  // namespace

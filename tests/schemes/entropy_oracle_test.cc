@@ -21,6 +21,7 @@ namespace limbo::schemes {
 namespace {
 
 using fd::AttributeSet;
+using limbo::testing::RandomRelation;
 
 /// Ground-truth H(X): project every tuple onto X's attribute texts and
 /// count distinct combinations the slow, obvious way.
@@ -39,24 +40,6 @@ double BruteForceEntropy(const relation::Relation& rel, AttributeSet x) {
     h -= static_cast<double>(c) * std::log2(static_cast<double>(c)) / n;
   }
   return h < 0.0 ? 0.0 : h;
-}
-
-/// Random categorical relation: m attributes, each value drawn from a
-/// per-attribute alphabet of `width` symbols.
-relation::Relation RandomRelation(size_t rows, size_t m, size_t width,
-                                  uint64_t seed) {
-  util::Random rng(seed);
-  std::vector<std::string> header;
-  for (size_t a = 0; a < m; ++a) header.push_back("A" + std::to_string(a));
-  std::vector<std::vector<std::string>> data;
-  for (size_t t = 0; t < rows; ++t) {
-    std::vector<std::string> row;
-    for (size_t a = 0; a < m; ++a) {
-      row.push_back("v" + std::to_string(rng.Uniform(width)));
-    }
-    data.push_back(std::move(row));
-  }
-  return limbo::testing::MakeRelation(std::move(header), data);
 }
 
 TEST(EntropyFromCounts, KnownValues) {

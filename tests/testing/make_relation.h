@@ -6,6 +6,7 @@
 
 #include "relation/relation.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace limbo::testing {
 
@@ -21,6 +22,24 @@ inline relation::Relation MakeRelation(
     LIMBO_CHECK(builder.AddRow(row).ok());
   }
   return std::move(builder).Build();
+}
+
+/// Random categorical relation: m attributes named A0..A{m-1}, each value
+/// drawn from a per-attribute alphabet of `width` symbols.
+inline relation::Relation RandomRelation(size_t rows, size_t m, size_t width,
+                                         uint64_t seed) {
+  util::Random rng(seed);
+  std::vector<std::string> header;
+  for (size_t a = 0; a < m; ++a) header.push_back("A" + std::to_string(a));
+  std::vector<std::vector<std::string>> data;
+  for (size_t t = 0; t < rows; ++t) {
+    std::vector<std::string> row;
+    for (size_t a = 0; a < m; ++a) {
+      row.push_back("v" + std::to_string(rng.Uniform(width)));
+    }
+    data.push_back(std::move(row));
+  }
+  return MakeRelation(std::move(header), data);
 }
 
 /// The paper's running example relation of Figure 4:

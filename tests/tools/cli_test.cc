@@ -410,4 +410,41 @@ TEST(CliTest, MalformedNumericFlagsExit2) {
   }
 }
 
+TEST(CliTest, ValueFlagsNeedAValueAndSwitchesRefuseOne) {
+  struct Case {
+    std::string args;
+    std::string message;
+  };
+  const std::string csv = TempCsv();
+  const std::string bundle = PidPath("limbo_cli_flags.limbo");
+  const std::vector<Case> cases = {
+      // A value flag given bare used to read as "1": fit ran at k = 1,
+      // and summaries --out wrote a file named "1".
+      {"fit " + csv + " --k --model-out=" + bundle, "--k needs a value"},
+      {"fit " + csv + " --model-out", "--model-out needs a value"},
+      {"summaries " + csv + " --out", "--out needs a value"},
+      {"rank " + csv + " --report", "--report needs a value"},
+      {"partition " + csv + " --threads", "--threads needs a value"},
+      // A switch given a value used to ignore it: --schemes=0 mined
+      // schemes and --no-refit-state=false dropped the refit state.
+      {"fit " + csv + " --schemes=0 --model-out=" + bundle,
+       "--schemes takes no value"},
+      {"fit " + csv + " --no-refit-state=false --model-out=" + bundle,
+       "--no-refit-state takes no value"},
+      {"summaries " + csv + " --stream=1", "--stream takes no value"},
+      {"fds " + csv + " --min-cover=no", "--min-cover takes no value"},
+      {"profile " + csv + " --trace=0", "--trace takes no value"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    const std::string command = c.args.substr(0, c.args.find(' '));
+    const RunResult r = RunTool(c.args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("limbo-tool " + command + ": " + c.message),
+              std::string::npos)
+        << r.output;
+  }
+  EXPECT_EQ(ReadFile(bundle), "");  // no fit ran
+}
+
 }  // namespace

@@ -236,6 +236,65 @@ TEST(ServeCliTest, PortRejectsNegativeAndTrailingGarbage) {
   EXPECT_EQ(r.exit_code, 2);
 }
 
+// Every flag but --once and --model needs "=value": given bare, --workers,
+// --batch-max and --max-pending used to read as 1 and serve anyway.
+TEST(ServeCliTest, ValueFlagsNeedAValue) {
+  for (const char* flag : {"--workers", "--batch-max", "--max-pending",
+                           "--cache-entries", "--port", "--oov"}) {
+    SCOPED_TRACE(flag);
+    const RunResult r =
+        RunCommand(std::string(LIMBO_SERVE_PATH) + " " +
+                   SharedFixture().bundle + " --once " + flag +
+                   " --query='{\"op\":\"info\"}'");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find(std::string(flag) + " needs a value"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(ServeCliTest, OnceRefusesAValue) {
+  const RunResult r = RunCommand(std::string(LIMBO_SERVE_PATH) + " " +
+                                 SharedFixture().bundle + " --once=0" +
+                                 " --query='{\"op\":\"info\"}'");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--once takes no value"), std::string::npos)
+      << r.output;
+}
+
+TEST(ServeCliTest, SizeFlagsKeepTheirBounds) {
+  struct Case {
+    std::string flag;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"--workers=0", "--workers must be an integer in [1, 4096]"},
+      {"--workers=4097", "--workers must be an integer in [1, 4096]"},
+      {"--batch-max=0", "--batch-max must be an integer in [1, 4096]"},
+      {"--max-pending=0", "--max-pending must be a positive integer"},
+      {"--max-pending=1048577", "--max-pending must be a positive integer"},
+      {"--cache-entries=16777217",
+       "--cache-entries must be an integer in [0, 16777216]"},
+      {"--cache-entries=x",
+       "--cache-entries must be an integer in [0, 16777216]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.flag);
+    const RunResult r = RunCommand(std::string(LIMBO_SERVE_PATH) + " " +
+                                   SharedFixture().bundle + " --once " +
+                                   c.flag + " --query='{\"op\":\"info\"}'");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find(c.message), std::string::npos) << r.output;
+  }
+  // The upper bounds themselves still serve (--workers stays small: each
+  // worker is a thread).
+  const RunResult r = RunCommand(
+      std::string(LIMBO_SERVE_PATH) + " " + SharedFixture().bundle +
+      " --once --workers=2 --batch-max=4096 --max-pending=1048576"
+      " --cache-entries=16777216 --query='{\"op\":\"info\"}'");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 /// A second bundle (k=2) fitted over the same CSV, for registry tests.
 const std::string& CoarseBundle() {
   static const std::string path = [] {

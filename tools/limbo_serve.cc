@@ -5,7 +5,7 @@
 //   limbo-serve --models-dir=dir [flags]
 //
 // Flags: [--port=7070] [--workers=1] [--max-pending=128]
-//        [--batch-max=16] [--batch-wait-us=0] [--cache-entries=0]
+//        [--batch-max=16] [--cache-entries=0]
 //        [--default-model=name] [--oov=drop|strict]
 //        [--once] [--query=<json> ...]
 //
@@ -39,7 +39,7 @@
 // TCP mode accepts connections on --port (0 = ephemeral; the chosen port
 // is printed); a reactor thread multiplexes every connection and
 // --workers lanes drain queued requests in batches of up to --batch-max
-// (lingering --batch-wait-us for a fuller batch; 0 never delays).
+// (a lane takes what is queued and never waits for a fuller batch).
 // Connections beyond workers + --max-pending are shed immediately with
 // {"ok":false,"code":"overloaded",...}. --cache-entries>0 enables the
 // bounded LRU response cache, keyed by model version so hot reloads
@@ -49,13 +49,14 @@
 // first. SIGPIPE is ignored: a client disconnecting mid-response only
 // ends that connection, never the daemon.
 //
-// Unknown flags are rejected with exit code 2 (doc_check relies on that).
+// Every flag but --once and --model takes its value as --flag=value;
+// --once takes none. Unknown flags, a missing value and a value given to
+// --once are rejected with exit code 2 (doc_check relies on that).
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +70,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "util/parallel.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -110,8 +112,7 @@ int Usage() {
       "usage: limbo-serve model.limbo [--model name=path ...]\n"
       "                   [--models-dir=dir] [--default-model=name]\n"
       "                   [--port=7070] [--workers=1] [--max-pending=128]\n"
-      "                   [--batch-max=16] [--batch-wait-us=0]\n"
-      "                   [--cache-entries=0]\n"
+      "                   [--batch-max=16] [--cache-entries=0]\n"
       "                   [--oov=drop|strict] [--once] [--query=<json> ...]\n");
   return 2;
 }
@@ -120,31 +121,15 @@ struct ServeArgs {
   std::vector<std::pair<std::string, std::string>> models;  // name -> path
   std::vector<std::string> model_dirs;
   std::string default_model;
-  int port = 7070;
+  size_t port = 7070;
   size_t workers = 1;
   size_t max_pending = 128;
   size_t batch_max = 16;
-  int batch_wait_us = 0;
   size_t cache_entries = 0;
   serve::OovPolicy oov = serve::OovPolicy::kDrop;
   bool once = false;
   std::vector<std::string> queries;
 };
-
-/// Strict base-10 unsigned parse: every byte a digit, value <= max.
-/// Rejects what std::atoi silently mangles ("abc" -> 0, 70000 -> u16
-/// truncation, "7070x" -> 7070).
-bool ParseBoundedInt(const std::string& value, unsigned long max,
-                     unsigned long* out) {
-  if (value.empty() || value.size() > 10) return false;
-  for (const char c : value) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  const unsigned long parsed = std::stoul(value);
-  if (parsed > max) return false;
-  *out = parsed;
-  return true;
-}
 
 /// "name.limbo" -> "name": the registry name of a positional bundle.
 std::string ModelNameFromPath(const std::string& path) {
@@ -156,6 +141,20 @@ std::string ModelNameFromPath(const std::string& path) {
 }
 
 bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
+  const struct {
+    const char* name;
+    size_t min;
+    size_t max;
+    const char* rule;
+    size_t* out;
+  } kSizeFlags[] = {
+      {"port", 0, 65535, "an integer in [0, 65535]", &args->port},
+      {"workers", 1, 4096, "an integer in [1, 4096]", &args->workers},
+      {"max-pending", 1, 1 << 20, "a positive integer", &args->max_pending},
+      {"batch-max", 1, 4096, "an integer in [1, 4096]", &args->batch_max},
+      {"cache-entries", 0, 1 << 24, "an integer in [0, 16777216]",
+       &args->cache_entries},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -164,83 +163,54 @@ bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
       continue;
     }
     const size_t eq = arg.find('=');
-    const std::string key =
-        eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-    const std::string value =
-        eq == std::string::npos ? "1" : arg.substr(eq + 1);
-    if (key == "port") {
-      unsigned long port = 0;
-      if (eq == std::string::npos ||
-          !ParseBoundedInt(value, 65535, &port)) {
+    const bool has_value = eq != std::string::npos;
+    const std::string key = has_value ? arg.substr(2, eq - 2) : arg.substr(2);
+    const std::string value = has_value ? arg.substr(eq + 1) : "";
+    if (key == "once") {
+      if (has_value) {
         std::fprintf(stderr,
-                     "limbo-serve: --port must be an integer in [0, 65535], "
-                     "got \"%s\"\n",
-                     eq == std::string::npos ? "" : value.c_str());
-        return false;
-      }
-      args->port = static_cast<int>(port);
-    } else if (key == "workers") {
-      unsigned long workers = 0;
-      if (!ParseBoundedInt(value, 4096, &workers) || workers == 0) {
-        std::fprintf(stderr,
-                     "limbo-serve: --workers must be an integer in "
-                     "[1, 4096], got \"%s\"\n",
+                     "limbo-serve: --once takes no value, got \"%s\"\n",
                      value.c_str());
         return false;
       }
-      args->workers = static_cast<size_t>(workers);
-    } else if (key == "max-pending") {
-      unsigned long pending = 0;
-      if (!ParseBoundedInt(value, 1 << 20, &pending) || pending == 0) {
-        std::fprintf(stderr,
-                     "limbo-serve: --max-pending must be a positive "
-                     "integer, got \"%s\"\n",
-                     value.c_str());
-        return false;
-      }
-      args->max_pending = static_cast<size_t>(pending);
-    } else if (key == "batch-max") {
-      unsigned long batch = 0;
-      if (!ParseBoundedInt(value, 4096, &batch) || batch == 0) {
-        std::fprintf(stderr,
-                     "limbo-serve: --batch-max must be an integer in "
-                     "[1, 4096], got \"%s\"\n",
-                     value.c_str());
-        return false;
-      }
-      args->batch_max = static_cast<size_t>(batch);
-    } else if (key == "batch-wait-us") {
-      unsigned long wait = 0;
-      if (eq == std::string::npos ||
-          !ParseBoundedInt(value, 1000000, &wait)) {
-        std::fprintf(stderr,
-                     "limbo-serve: --batch-wait-us must be an integer in "
-                     "[0, 1000000], got \"%s\"\n",
-                     eq == std::string::npos ? "" : value.c_str());
-        return false;
-      }
-      args->batch_wait_us = static_cast<int>(wait);
-    } else if (key == "cache-entries") {
-      unsigned long entries = 0;
-      if (eq == std::string::npos ||
-          !ParseBoundedInt(value, 1 << 24, &entries)) {
-        std::fprintf(stderr,
-                     "limbo-serve: --cache-entries must be an integer in "
-                     "[0, 16777216], got \"%s\"\n",
-                     eq == std::string::npos ? "" : value.c_str());
-        return false;
-      }
-      args->cache_entries = static_cast<size_t>(entries);
-    } else if (key == "model") {
+      args->once = true;
+      continue;
+    }
+    if (key == "model") {
       // Accepts both --model name=path and --model=name=path.
       std::string spec = value;
-      if (eq == std::string::npos && i + 1 < argc) spec = argv[++i];
+      if (!has_value && i + 1 < argc) spec = argv[++i];
       const size_t sep = spec.find('=');
       if (sep == std::string::npos || sep == 0 || sep + 1 == spec.size()) {
         std::fprintf(stderr, "limbo-serve: --model needs name=path\n");
         return false;
       }
       args->models.emplace_back(spec.substr(0, sep), spec.substr(sep + 1));
+      continue;
+    }
+    const auto* size_flag = std::find_if(
+        std::begin(kSizeFlags), std::end(kSizeFlags),
+        [&](const auto& flag) { return key == flag.name; });
+    const bool is_size = size_flag != std::end(kSizeFlags);
+    if (!is_size && key != "models-dir" && key != "default-model" &&
+        key != "oov" && key != "query") {
+      std::fprintf(stderr, "limbo-serve: unknown flag --%s\n", key.c_str());
+      return false;
+    }
+    if (!has_value) {
+      std::fprintf(stderr, "limbo-serve: --%s needs a value (--%s=...)\n",
+                   key.c_str(), key.c_str());
+      return false;
+    }
+    if (is_size) {
+      size_t parsed = 0;
+      if (!util::ParseSize(value, &parsed) || parsed < size_flag->min ||
+          parsed > size_flag->max) {
+        std::fprintf(stderr, "limbo-serve: --%s must be %s, got \"%s\"\n",
+                     key.c_str(), size_flag->rule, value.c_str());
+        return false;
+      }
+      *size_flag->out = parsed;
     } else if (key == "models-dir") {
       args->model_dirs.push_back(value);
     } else if (key == "default-model") {
@@ -254,13 +224,8 @@ bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
         std::fprintf(stderr, "limbo-serve: --oov must be drop or strict\n");
         return false;
       }
-    } else if (key == "once") {
-      args->once = true;
-    } else if (key == "query") {
-      args->queries.push_back(value);
     } else {
-      std::fprintf(stderr, "limbo-serve: unknown flag --%s\n", key.c_str());
-      return false;
+      args->queries.push_back(value);
     }
   }
   if (args->models.empty() && args->model_dirs.empty()) {
@@ -308,11 +273,10 @@ int RunOnce(serve::Registry* registry, const ServeArgs& args) {
 int RunTcp(serve::Registry* registry, const ServeArgs& args) {
   InstallSignalHandlers();
   serve::ServerOptions options;
-  options.port = args.port;
+  options.port = static_cast<int>(args.port);
   options.workers = args.workers;
   options.max_pending = args.max_pending;
   options.batch_max = args.batch_max;
-  options.batch_wait_us = args.batch_wait_us;
   util::Result<std::unique_ptr<serve::Server>> server =
       serve::Server::Start(registry, options);
   if (!server.ok()) {

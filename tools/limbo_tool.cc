@@ -55,8 +55,11 @@
 //                     anything else JSON (schema_version in the file).
 //   --trace           echo every trace span to stderr as it closes.
 //
-// Unknown flags are rejected with exit code 2 — the doc-consistency
-// check (tools/doc_check.py) relies on that.
+// Value flags take their value as --flag=value; the switches --stream,
+// --min-cover, --no-refit-state, --schemes and --trace take none.
+// Unknown flags, a value flag without a value and a switch given one are
+// rejected with exit code 2 — the doc-consistency check
+// (tools/doc_check.py) relies on that.
 
 #include <cinttypes>
 #include <cstdio>
@@ -111,11 +114,18 @@ const std::set<std::string> kSizeFlags = {
     "k",           "max-k",           "chunk",  "max-lhs", "max-size",
     "max-sep",     "max-schemes",     "tuples", "seed",    "threads",
     "schemes-max-sep"};
+/// Flags that switch a behaviour on by their presence; they take no
+/// value. Every other flag must be given as --flag=value.
+const std::set<std::string> kBoolFlags = {"stream", "min-cover",
+                                          "no-refit-state", "schemes",
+                                          "trace"};
 
 struct Args {
   std::string command;
   std::string input;
   std::map<std::string, std::string> flags;
+  /// Flags given without "=value".
+  std::set<std::string> bare;
 
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
@@ -192,6 +202,19 @@ int ValidateFlags(const Args& args) {
                    args.command.c_str(), flag.c_str());
       return 2;
     }
+    const bool boolean = kBoolFlags.count(flag) > 0;
+    if (boolean != (args.bare.count(flag) > 0)) {
+      if (boolean) {
+        std::fprintf(stderr,
+                     "limbo-tool %s: --%s takes no value, got \"%s\"\n",
+                     args.command.c_str(), flag.c_str(), value.c_str());
+      } else {
+        std::fprintf(stderr,
+                     "limbo-tool %s: --%s needs a value (--%s=...)\n",
+                     args.command.c_str(), flag.c_str(), flag.c_str());
+      }
+      return 2;
+    }
     double real = 0.0;
     size_t size = 0;
     const char* expected = nullptr;
@@ -260,7 +283,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     if (eq != nullptr) {
       args->flags[std::string(arg + 2, eq - arg - 2)] = eq + 1;
     } else {
-      args->flags[arg + 2] = "1";
+      args->flags[arg + 2] = "";
+      args->bare.insert(arg + 2);
     }
   }
   return true;
