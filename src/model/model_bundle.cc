@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/strings.h"
 
@@ -26,915 +28,589 @@ enum SectionTag : uint32_t {
   kRepresentatives = 4,
   kAssignments = 5,
   kValueGroups = 6,
-  kGrouping = 7,  // optional
+  kGrouping = 7,
   kRankedFds = 8,
-  kPhase1Tree = 9,  // optional, version >= 2
-  kLineage = 10,    // optional, version >= 2
-  kSchemes = 11,    // optional, version >= 3
+  kPhase1Tree = 9,
+  kLineage = 10,
+  kSchemes = 11,
 };
 
-/// Highest section tag a file of `version` may contain.
-uint32_t MaxTagForVersion(uint32_t version) {
-  if (version >= 3) return kSchemes;
-  return version >= 2 ? kLineage : kRankedFds;
-}
+/// One row of the section table: the name in error messages, the bundle
+/// flag that says whether an optional section is present (null for a
+/// required one), and the first format version that may carry it.
+struct SectionSpec {
+  uint32_t tag;
+  const char* name;
+  bool ModelBundle::*present;
+  uint32_t since;
+};
+
+constexpr SectionSpec kSections[] = {
+    {kMeta, "meta", nullptr, 1},
+    {kSchema, "schema", nullptr, 1},
+    {kDictionary, "dictionary", nullptr, 1},
+    {kRepresentatives, "representatives", nullptr, 1},
+    {kAssignments, "assignments", nullptr, 1},
+    {kValueGroups, "value groups", nullptr, 1},
+    {kGrouping, "grouping", &ModelBundle::has_grouping, 1},
+    {kRankedFds, "ranked FDs", nullptr, 1},
+    {kPhase1Tree, "phase-1 tree", &ModelBundle::has_phase1_tree, 2},
+    {kLineage, "lineage", &ModelBundle::has_lineage, 2},
+    {kSchemes, "schemes", &ModelBundle::has_schemes, 3},
+};
+constexpr uint32_t kNumTags = kSchemes;
 
 // A corrupt phase-1-tree section must not be able to recurse the parser
 // off the stack; real trees with branching >= 2 are far shallower.
 constexpr size_t kMaxTreeDepth = 64;
 
-// ---- writer helpers (host-endian fixed-width, doubles as raw bits) ----
+// Fewest bytes a phase-1 leaf entry takes: its id, then a DCF with empty
+// support and no count row (mass, support count, count-row length).
+constexpr size_t kLeafEntryBytes =
+    sizeof(uint32_t) + sizeof(double) + 2 * sizeof(uint64_t);
 
-void PutU32(uint32_t v, std::string* out) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
+// Conditional ids of a value group's DCF range over tuples (or tuple
+// clusters under Double Clustering), so no id bound applies to them.
+constexpr uint64_t kAnyId = UINT64_MAX;
 
-void PutU64(uint64_t v, std::string* out) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
+// ---- the two directions of the codec ----
+//
+// Each section body below is one template over `Io`, which is a Writer or
+// a Reader. Both read and write fields through the same calls: `Pod`
+// for a fixed-width field (host-endian; doubles as raw IEEE-754 bits),
+// `Str` for a length-prefixed string, `Count` for an element count, and
+// `Check` for a condition on what was just read.
 
-void PutF64(double v, std::string* out) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutStr(const std::string& s, std::string* out) {
-  PutU64(s.size(), out);
-  out->append(s);
-}
-
-void PutSection(uint32_t tag, const std::string& body, std::string* out) {
-  PutU32(tag, out);
-  PutU32(0, out);
-  PutU64(body.size(), out);
-  out->append(body);
-}
-
-void PutDcf(const core::Dcf& d, std::string* out) {
-  PutF64(d.p, out);
-  PutU64(d.cond.SupportSize(), out);
-  for (const auto& e : d.cond.entries()) {
-    PutU32(e.id, out);
-    PutF64(e.mass, out);
-  }
-  PutU64(d.attr_counts.size(), out);
-  for (uint64_t c : d.attr_counts) PutU64(c, out);
-}
-
-// ---- bounds-checked reader ----
-
-class Cursor {
+/// Appends each field of a const bundle. Its checks are no-ops: the
+/// bundle in memory is trusted, and the reader checks what it wrote.
+class Writer {
  public:
-  Cursor(const char* data, size_t size) : p_(data), end_(data + size) {}
+  using Bundle = const ModelBundle;
+  static constexpr bool kReading = false;
 
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-  bool done() const { return p_ == end_; }
+  explicit Writer(std::string* out) : out_(out) {}
 
-  util::Status ReadU8(uint8_t* v) { return ReadRaw(v, sizeof(*v)); }
-  util::Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  util::Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  util::Status ReadF64(double* v) { return ReadRaw(v, sizeof(*v)); }
+  bool ok() const { return true; }
+  /// The writer always writes the current format.
+  uint32_t version() const { return kFormatVersion; }
 
-  util::Status ReadStr(std::string* out) {
-    uint64_t len = 0;
-    LIMBO_RETURN_IF_ERROR(ReadU64(&len));
-    if (len > remaining()) {
-      return util::Status::InvalidArgument("model bundle: truncated string");
-    }
-    out->assign(p_, static_cast<size_t>(len));
-    p_ += len;
-    return util::Status::Ok();
+  template <class T>
+  T Pod(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    out_->append(reinterpret_cast<const char*>(&v), sizeof(T));
+    return v;
   }
+  void Str(const std::string& s) {
+    Pod(static_cast<uint64_t>(s.size()));
+    out_->append(s);
+  }
+  void Count(const uint64_t& n, size_t /*min_elem_bytes*/) { Pod(n); }
+  bool Fits(uint64_t /*n*/, size_t /*elem_bytes*/) const { return true; }
+  void Check(bool /*cond*/, const char* /*fmt*/, const char* = "") {}
 
+ private:
+  std::string* out_;
+};
+
+/// Fills a bundle from one section body and checks each field where it is
+/// read. The first failed read or check is kept, and every later read
+/// yields zero, so a body runs as straight-line code. An index or a size
+/// taken from a value just read must test ok() first.
+class Reader {
+ public:
+  using Bundle = ModelBundle;
+  static constexpr bool kReading = true;
+
+  Reader(const char* data, size_t size, uint32_t version)
+      : p_(data), end_(data + size), version_(version) {}
+
+  bool ok() const { return status_.ok(); }
+  const util::Status& status() const { return status_; }
+  uint32_t version() const { return version_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+  template <class T>
+  T Pod(T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (ok() && remaining() >= sizeof(T)) {
+      std::memcpy(&v, p_, sizeof(T));
+      p_ += sizeof(T);
+    } else {
+      Check(false, "truncated field");
+      v = T{};
+    }
+    return v;
+  }
+  void Str(std::string& s) {
+    uint64_t len = 0;
+    Pod(len);
+    Check(len <= remaining(), "truncated string");
+    if (!ok()) return;
+    s.assign(p_, static_cast<size_t>(len));
+    p_ += len;
+  }
   /// Reads an element count and refuses counts that could not possibly
   /// fit in the remaining bytes — a corrupt length must fail fast, not
   /// drive a multi-gigabyte allocation.
-  util::Status ReadCount(size_t min_elem_bytes, uint64_t* count) {
-    LIMBO_RETURN_IF_ERROR(ReadU64(count));
-    if (min_elem_bytes > 0 && *count > remaining() / min_elem_bytes) {
-      return util::Status::InvalidArgument(
-          "model bundle: element count exceeds section size");
-    }
-    return util::Status::Ok();
+  void Count(uint64_t& n, size_t min_elem_bytes) {
+    Pod(n);
+    Check(Fits(n, min_elem_bytes), "element count exceeds section size");
+    if (!ok()) n = 0;
+  }
+  bool Fits(uint64_t n, size_t elem_bytes) const {
+    return n <= remaining() / elem_bytes;
+  }
+  /// Records the first failure; the message is formatted only then.
+  void Check(bool cond, const char* fmt, const char* what = "") {
+    if (cond || !ok()) return;
+    status_ = util::Status::InvalidArgument(
+        "model bundle: " + util::StrFormat(fmt, what));
+  }
+  /// Takes the next `n` bytes as a reader of their own (`n` must fit).
+  Reader Slice(size_t n) {
+    Reader sub(p_, n, version_);
+    p_ += n;
+    return sub;
+  }
+  /// The section's status once its body is read: an error, or trailing
+  /// bytes the body did not consume.
+  util::Status Finish(const char* section) {
+    Check(p_ == end_, "trailing bytes in %s section", section);
+    return status_;
   }
 
  private:
-  util::Status ReadRaw(void* out, size_t n) {
-    if (remaining() < n) {
-      return util::Status::InvalidArgument("model bundle: truncated field");
-    }
-    std::memcpy(out, p_, n);
-    p_ += n;
-    return util::Status::Ok();
-  }
-
   const char* p_;
   const char* end_;
+  uint32_t version_;
+  util::Status status_;
 };
 
-util::Status CheckFinite(double v, const char* what) {
-  if (!std::isfinite(v)) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("model bundle: non-finite %s", what));
-  }
-  return util::Status::Ok();
+// ---- shared field helpers ----
+
+/// A container's element count: the reader bounds it and sizes `c`.
+template <class Io, class C>
+uint64_t Size(Io& io, C& c, size_t min_elem_bytes) {
+  uint64_t n = c.size();
+  io.Count(n, min_elem_bytes);
+  if constexpr (Io::kReading) c.resize(n);
+  return n;
 }
 
-util::Status ReadDcf(Cursor* in, size_t max_cond_id, core::Dcf* out) {
-  LIMBO_RETURN_IF_ERROR(in->ReadF64(&out->p));
-  LIMBO_RETURN_IF_ERROR(CheckFinite(out->p, "dcf mass"));
-  if (out->p <= 0.0) {
-    return util::Status::InvalidArgument("model bundle: dcf mass not > 0");
-  }
-  uint64_t support = 0;
-  LIMBO_RETURN_IF_ERROR(in->ReadCount(sizeof(uint32_t) + sizeof(double),
-                                      &support));
-  std::vector<core::SparseDistribution::Entry> entries;
-  entries.reserve(support);
-  for (uint64_t e = 0; e < support; ++e) {
-    uint32_t id = 0;
-    double mass = 0.0;
-    LIMBO_RETURN_IF_ERROR(in->ReadU32(&id));
-    LIMBO_RETURN_IF_ERROR(in->ReadF64(&mass));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(mass, "dcf conditional mass"));
-    if (mass <= 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: dcf conditional mass not > 0");
+/// A field stored on the wire as `Wire`: the writer narrows it, the
+/// reader widens it back.
+template <class Wire, class Io, class T>
+Wire As(Io& io, T& field) {
+  Wire w = static_cast<Wire>(field);
+  io.Pod(w);
+  if constexpr (Io::kReading) field = static_cast<std::remove_const_t<T>>(w);
+  return w;
+}
+
+template <class Io, class T>
+void Bool(Io& io, T& field) {
+  io.Check(As<uint8_t>(io, field) <= 1, "boolean field out of range");
+}
+
+template <class Io, class T>
+double Finite(Io& io, T& v, const char* what) {
+  io.Check(std::isfinite(io.Pod(v)), "non-finite %s", what);
+  return v;
+}
+
+template <class Io, class T>
+void NonNegative(Io& io, T& v, const char* what) {
+  io.Check(Finite(io, v, what) >= 0.0, "negative %s", what);
+}
+
+template <class Io, class T>
+void Positive(Io& io, T& v, const char* what) {
+  io.Check(Finite(io, v, what) > 0.0, "%s not > 0", what);
+}
+
+/// An attribute bitset: no bit outside the schema's `mask`.
+template <class Io, class T>
+uint64_t Bits(Io& io, T& bits, uint64_t mask, const char* what) {
+  io.Check((io.Pod(bits) & ~mask) == 0, "%s bits out of range", what);
+  return bits;
+}
+
+/// One sparse (id, mass) entry: finite mass > 0, id below `limit`, and
+/// ids strictly increasing after `prev` (-1 before the first entry).
+template <class Io, class Id, class Mass>
+void Entry(Io& io, Id& id, Mass& mass, int64_t prev, uint64_t limit,
+           const char* what) {
+  io.Pod(id);
+  Positive(io, mass, what);
+  io.Check(id < limit, "%s id out of range", what);
+  io.Check(static_cast<int64_t>(id) > prev, "%s ids not strictly increasing",
+           what);
+}
+
+/// The `n` (id, mass) entries of a sparse distribution. The writer walks
+/// the stored list; the reader fills a scratch list and installs it.
+template <class Io, class Dist>
+void Sparse(Io& io, Dist& dist, uint64_t n, uint64_t limit, const char* what) {
+  std::vector<core::SparseDistribution::Entry> scratch(
+      Io::kReading && io.ok() ? n : 0);
+  auto& entries = [&]() -> auto& {
+    if constexpr (Io::kReading) {
+      return scratch;
+    } else {
+      return dist.entries();
     }
-    if (max_cond_id != 0 && id >= max_cond_id) {
-      return util::Status::InvalidArgument(
-          "model bundle: dcf support id out of range");
+  }();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    Entry(io, entries[i].id, entries[i].mass,
+          i == 0 ? -1 : static_cast<int64_t>(entries[i - 1].id), limit, what);
+  }
+  if constexpr (Io::kReading) {
+    if (io.ok() && !scratch.empty()) {
+      dist = core::SparseDistribution::FromNormalizedPairs(std::move(scratch));
     }
-    if (!entries.empty() && id <= entries.back().id) {
-      return util::Status::InvalidArgument(
-          "model bundle: dcf support ids not strictly increasing");
+  }
+}
+
+/// A DCF: mass, sparse conditional, then the ADCF count row. Phase-1
+/// leaf entries are tuple DCFs, which never carry a count row.
+template <class Io, class D>
+void Dcf(Io& io, D& d, uint64_t id_limit, bool counts_allowed) {
+  Positive(io, d.p, "dcf mass");
+  uint64_t support = d.cond.SupportSize();
+  io.Count(support, sizeof(uint32_t) + sizeof(double));
+  Sparse(io, d.cond, support, id_limit, "dcf conditional");
+  const uint64_t counts = Size(io, d.attr_counts, sizeof(uint64_t));
+  io.Check(counts_allowed || counts == 0,
+           "phase-1 leaf entry carries attribute counts");
+  for (auto& c : d.attr_counts) io.Pod(c);
+}
+
+// ---- the sections, each described once ----
+
+template <class Io>
+void Meta(Io& io, typename Io::Bundle& b) {
+  io.Check(io.Pod(b.num_rows) != 0, "num_rows is zero");
+  for (auto* v : {&b.phi_t, &b.phi_v, &b.psi, &b.mutual_information,
+                  &b.threshold, &b.association_margin,
+                  &b.value_mutual_information, &b.value_threshold}) {
+    NonNegative(io, *v, "meta field");
+  }
+}
+
+template <class Io>
+void Schema(Io& io, typename Io::Bundle& b) {
+  std::vector<std::string> names = b.schema.Names();
+  Size(io, names, sizeof(uint64_t));
+  for (auto& name : names) io.Str(name);
+  if constexpr (Io::kReading) {
+    if (!io.ok()) return;
+    auto schema = relation::Schema::Create(std::move(names));
+    io.Check(schema.ok(), "%s", schema.status().message().c_str());
+    if (schema.ok()) b.schema = std::move(schema).value();
+  }
+}
+
+template <class Io>
+void Dictionary(Io& io, typename Io::Bundle& b) {
+  uint64_t n = b.dictionary.NumValues();
+  io.Count(n, 2 * sizeof(uint32_t) + sizeof(uint64_t));
+  io.Check(n <= UINT32_MAX, "dictionary too large");
+  for (uint64_t v = 0; v < n; ++v) {
+    if constexpr (Io::kReading) {
+      uint32_t attribute = 0;
+      uint32_t support = 0;
+      std::string text;
+      io.Pod(attribute);
+      io.Pod(support);
+      io.Str(text);
+      io.Check(attribute < b.schema.NumAttributes(),
+               "dictionary attribute out of range");
+      // InternCounted requires the pair to be fresh; a corrupt file with a
+      // repeated pair must not silently shadow the first id.
+      io.Check(!io.ok() || !b.dictionary.Find(attribute, text).ok(),
+               "duplicate dictionary entry");
+      if (io.ok()) b.dictionary.InternCounted(attribute, text, support);
+    } else {
+      const auto id = static_cast<relation::ValueId>(v);
+      io.Pod(b.dictionary.Attribute(id));
+      io.Pod(b.dictionary.Support(id));
+      io.Str(b.dictionary.Text(id));
     }
-    entries.push_back({id, mass});
   }
-  if (!entries.empty()) {
-    out->cond = core::SparseDistribution::FromNormalizedPairs(
-        std::move(entries));
-  }
-  uint64_t num_counts = 0;
-  LIMBO_RETURN_IF_ERROR(in->ReadCount(sizeof(uint64_t), &num_counts));
-  out->attr_counts.resize(num_counts);
-  for (uint64_t a = 0; a < num_counts; ++a) {
-    LIMBO_RETURN_IF_ERROR(in->ReadU64(&out->attr_counts[a]));
-  }
-  return util::Status::Ok();
 }
 
-util::Status ExpectDone(const Cursor& in, const char* section) {
-  if (!in.done()) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("model bundle: trailing bytes in %s section",
-                        section));
-  }
-  return util::Status::Ok();
-}
-
-// ---- per-section serializers ----
-
-std::string MetaBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.num_rows, &out);
-  PutF64(b.phi_t, &out);
-  PutF64(b.phi_v, &out);
-  PutF64(b.psi, &out);
-  PutF64(b.mutual_information, &out);
-  PutF64(b.threshold, &out);
-  PutF64(b.association_margin, &out);
-  PutF64(b.value_mutual_information, &out);
-  PutF64(b.value_threshold, &out);
-  return out;
-}
-
-std::string SchemaBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.schema.NumAttributes(), &out);
-  for (const std::string& name : b.schema.Names()) PutStr(name, &out);
-  return out;
-}
-
-std::string DictionaryBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.dictionary.NumValues(), &out);
-  for (relation::ValueId v = 0; v < b.dictionary.NumValues(); ++v) {
-    PutU32(b.dictionary.Attribute(v), &out);
-    PutU32(b.dictionary.Support(v), &out);
-    PutStr(b.dictionary.Text(v), &out);
-  }
-  return out;
-}
-
-std::string RepresentativesBody(const ModelBundle& b) {
+template <class Io>
+void Representatives(Io& io, typename Io::Bundle& b) {
   // CSR layout, mirroring DistributionArena: priors, row offsets, then one
   // flat (id, mass) entry slab — so a loader can hand the rows straight to
   // an arena without per-row bookkeeping.
-  std::string out;
-  PutU64(b.representatives.size(), &out);
-  for (const core::Dcf& r : b.representatives) PutF64(r.p, &out);
-  uint64_t offset = 0;
-  PutU64(offset, &out);
-  for (const core::Dcf& r : b.representatives) {
-    offset += r.cond.SupportSize();
-    PutU64(offset, &out);
+  auto& reps = b.representatives;
+  const uint64_t n = Size(io, reps, sizeof(double) + sizeof(uint64_t));
+  for (auto& r : reps) Positive(io, r.p, "representative mass");
+  std::vector<uint64_t> offsets(n + 1, 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    offsets[i + 1] = offsets[i] + reps[i].cond.SupportSize();
   }
-  for (const core::Dcf& r : b.representatives) {
-    for (const auto& e : r.cond.entries()) {
-      PutU32(e.id, &out);
-      PutF64(e.mass, &out);
+  for (uint64_t i = 0; i <= n; ++i) {
+    io.Check(io.Pod(offsets[i]) >= (i > 0 ? offsets[i - 1] : 0),
+             "representative offsets not monotone");
+  }
+  io.Check(offsets[0] == 0 &&
+               io.Fits(offsets[n], sizeof(uint32_t) + sizeof(double)),
+           "representative entry slab size mismatch");
+  for (uint64_t i = 0; i < n; ++i) {
+    Sparse(io, reps[i].cond, offsets[i + 1] - offsets[i],
+           b.dictionary.NumValues(), "representative entry");
+  }
+}
+
+template <class Io>
+void Assignments(Io& io, typename Io::Bundle& b) {
+  const uint64_t n =
+      Size(io, b.assignments, sizeof(uint32_t) + sizeof(double));
+  io.Check(n == b.num_rows, "assignment count != num_rows");
+  for (auto& label : b.assignments) {
+    io.Check(io.Pod(label) < b.representatives.size(),
+             "assignment label out of range");
+  }
+  if constexpr (Io::kReading) b.assignment_loss.resize(n);
+  for (auto& loss : b.assignment_loss) Finite(io, loss, "assignment loss");
+}
+
+template <class Io>
+void ValueGroups(Io& io, typename Io::Bundle& b) {
+  Size(io, b.value_groups, sizeof(uint64_t));
+  for (auto& g : b.value_groups) {
+    Size(io, g.values, sizeof(uint32_t));
+    for (auto& v : g.values) {
+      io.Check(io.Pod(v) < b.dictionary.NumValues(),
+               "value-group member out of range");
     }
+    Dcf(io, g.dcf, kAnyId, /*counts_allowed=*/true);
+    Bool(io, g.is_duplicate);
   }
-  return out;
-}
-
-std::string AssignmentsBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.assignments.size(), &out);
-  for (uint32_t label : b.assignments) PutU32(label, &out);
-  for (double loss : b.assignment_loss) PutF64(loss, &out);
-  return out;
-}
-
-std::string ValueGroupsBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.value_groups.size(), &out);
-  for (const core::ValueGroup& g : b.value_groups) {
-    PutU64(g.values.size(), &out);
-    for (relation::ValueId v : g.values) PutU32(v, &out);
-    PutDcf(g.dcf, &out);
-    PutU8(g.is_duplicate ? 1 : 0, &out);
+  Size(io, b.duplicate_groups, sizeof(uint32_t));
+  for (auto& g : b.duplicate_groups) {
+    io.Check(io.Pod(g) < b.value_groups.size(),
+             "duplicate-group index out of range");
   }
-  PutU64(b.duplicate_groups.size(), &out);
-  for (uint32_t g : b.duplicate_groups) PutU32(g, &out);
-  return out;
 }
 
-std::string GroupingBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.grouping_attributes.size(), &out);
-  for (relation::AttributeId a : b.grouping_attributes) PutU32(a, &out);
-  PutU64(b.grouping_num_objects, &out);
-  PutU64(b.grouping_merges.size(), &out);
-  for (const core::Merge& m : b.grouping_merges) {
-    PutU32(m.left, &out);
-    PutU32(m.right, &out);
-    PutU32(m.merged, &out);
-    PutF64(m.delta_i, &out);
-    PutF64(m.cumulative_loss, &out);
-    PutF64(m.p_merged, &out);
+template <class Io>
+void Grouping(Io& io, typename Io::Bundle& b) {
+  const uint64_t mask = fd::AttributeSet::Full(b.schema.NumAttributes()).bits();
+  const uint64_t q = Size(io, b.grouping_attributes, sizeof(uint32_t));
+  for (auto& a : b.grouping_attributes) {
+    io.Check(io.Pod(a) < b.schema.NumAttributes(),
+             "grouping attribute out of range");
   }
-  PutU64(b.grouping_cluster_members.size(), &out);
-  for (uint64_t bits : b.grouping_cluster_members) PutU64(bits, &out);
-  PutF64(b.max_merge_loss, &out);
-  return out;
+  io.Check(io.Pod(b.grouping_num_objects) == q, "grouping leaf count mismatch");
+  auto& merges = b.grouping_merges;
+  Size(io, merges, 3 * sizeof(uint32_t) + 3 * sizeof(double));
+  for (uint64_t i = 0; i < merges.size(); ++i) {
+    auto& m = merges[i];
+    io.Pod(m.left);
+    io.Pod(m.right);
+    io.Pod(m.merged);
+    Finite(io, m.delta_i, "merge loss");
+    Finite(io, m.cumulative_loss, "merge loss");
+    Finite(io, m.p_merged, "merge mass");
+    // scipy-linkage convention: the i-th merge creates cluster q+i from
+    // two clusters that already exist.
+    const uint64_t limit = q + i;
+    io.Check(m.left < limit && m.right < limit && m.left != m.right &&
+                 m.merged == limit,
+             "merge ids violate the linkage convention");
+  }
+  const uint64_t members =
+      Size(io, b.grouping_cluster_members, sizeof(uint64_t));
+  io.Check(members == q + merges.size(), "cluster-member table size mismatch");
+  for (auto& bits : b.grouping_cluster_members) {
+    Bits(io, bits, mask, "grouping cluster member");
+  }
+  Finite(io, b.max_merge_loss, "max merge loss");
 }
 
-void PutFrozenNode(const core::FrozenDcfNode& node, std::string* out) {
-  PutU8(node.is_leaf ? 1 : 0, out);
+template <class Io>
+void RankedFds(Io& io, typename Io::Bundle& b) {
+  const uint64_t mask = fd::AttributeSet::Full(b.schema.NumAttributes()).bits();
+  io.Pod(b.num_fds);
+  Size(io, b.ranked_fds, 2 * sizeof(uint64_t) + sizeof(double) + 1);
+  for (auto& r : b.ranked_fds) {
+    uint64_t lhs = r.fd.lhs.bits();
+    uint64_t rhs = r.fd.rhs.bits();
+    Bits(io, lhs, mask, "FD attribute");
+    Bits(io, rhs, mask, "FD attribute");
+    if constexpr (Io::kReading) {
+      r.fd.lhs = fd::AttributeSet(lhs);
+      r.fd.rhs = fd::AttributeSet(rhs);
+    }
+    Finite(io, r.rank, "FD rank");
+    Bool(io, r.anchored);
+  }
+}
+
+/// What the phase-1 tree walk gathers to cross-check the header stats.
+struct TreeWalk {
+  uint64_t branching = 0;
+  uint64_t leaf_capacity = 0;
+  uint64_t num_values = 0;
+  size_t nodes = 0;
+  size_t max_depth = 0;
+  std::vector<bool> id_seen;  // per leaf-entry id
+};
+
+/// One node of the phase-1 tree at `depth` (1-based), then its subtree.
+template <class Io, class Node>
+void TreeNode(Io& io, Node& node, TreeWalk& walk, size_t depth) {
+  io.Check(depth <= kMaxTreeDepth,
+           "phase-1 tree deeper than the format allows");
+  if (!io.ok()) return;
+  ++walk.nodes;
+  walk.max_depth = std::max(walk.max_depth, depth);
+  Bool(io, node.is_leaf);
   if (node.is_leaf) {
-    PutU64(node.entries.size(), out);
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      PutU32(node.entry_ids[i], out);
-      PutDcf(node.entries[i], out);
+    const uint64_t n = Size(io, node.entries, kLeafEntryBytes);
+    io.Check(n <= walk.leaf_capacity, "phase-1 leaf over capacity");
+    if constexpr (Io::kReading) node.entry_ids.resize(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint32_t id = io.Pod(node.entry_ids[i]);
+      const bool fresh = id < walk.id_seen.size() && !walk.id_seen[id];
+      io.Check(fresh, "phase-1 leaf-entry id out of range or repeated");
+      if (fresh) walk.id_seen[id] = true;
+      Dcf(io, node.entries[i], walk.num_values, /*counts_allowed=*/false);
     }
     return;
   }
-  PutU64(node.children.size(), out);
-  for (const core::FrozenDcfChild& child : node.children) {
-    PutF64(child.p, out);
-    PutU64(child.acc_ids.size(), out);
-    for (size_t i = 0; i < child.acc_ids.size(); ++i) {
-      PutU32(child.acc_ids[i], out);
-      PutF64(child.acc_masses[i], out);
+  const uint64_t n = Size(io, node.children, 2 * sizeof(double) + 1);
+  io.Check(n >= 1 && n <= walk.branching,
+           "phase-1 internal fan-out out of range");
+  for (auto& child : node.children) {
+    Positive(io, child.p, "phase-1 child mass");
+    const uint64_t acc =
+        Size(io, child.acc_ids, sizeof(uint32_t) + sizeof(double));
+    if constexpr (Io::kReading) child.acc_masses.resize(acc);
+    for (uint64_t e = 0; e < acc; ++e) {
+      Entry(io, child.acc_ids[e], child.acc_masses[e],
+            e == 0 ? -1 : static_cast<int64_t>(child.acc_ids[e - 1]),
+            walk.num_values, "phase-1 accumulator");
     }
-    PutFrozenNode(child.node, out);
+    TreeNode(io, child.node, walk, depth + 1);
   }
 }
 
-std::string Phase1TreeBody(const ModelBundle& b) {
-  const core::FrozenDcfTree& t = b.phase1_tree;
-  std::string out;
-  PutU32(static_cast<uint32_t>(t.branching), &out);
-  PutU32(static_cast<uint32_t>(t.leaf_capacity), &out);
-  PutF64(t.threshold, &out);
-  PutU64(t.stats.height, &out);
-  PutU64(t.stats.num_nodes, &out);
-  PutU64(t.stats.num_leaf_entries, &out);
-  PutU64(t.stats.num_inserts, &out);
-  PutU64(t.stats.num_merges, &out);
-  PutFrozenNode(t.root, &out);
-  PutU64(b.row_entry_ids.size(), &out);
-  for (uint32_t id : b.row_entry_ids) PutU32(id, &out);
-  return out;
-}
-
-std::string LineageBody(const ModelBundle& b) {
-  const BundleLineage& l = b.lineage;
-  std::string out;
-  PutU64(l.parent_checksum, &out);
-  PutU32(l.refit_generation, &out);
-  PutU32(static_cast<uint32_t>(l.drift_class), &out);
-  PutU64(l.base_rows, &out);
-  PutU64(l.rows_absorbed, &out);
-  PutU64(l.total_rows_absorbed, &out);
-  PutF64(l.drift_score, &out);
-  PutF64(l.drift_moderate, &out);
-  PutF64(l.drift_severe, &out);
-  PutF64(l.entropy_drift, &out);
-  return out;
-}
-
-std::string SchemesBody(const ModelBundle& b) {
-  std::string out;
-  PutF64(b.schemes_epsilon, &out);
-  PutU64(b.schemes_max_separator, &out);
-  PutF64(b.schemes_total_entropy, &out);
-  PutU64(b.schemes.size(), &out);
-  for (const BundleScheme& s : b.schemes) {
-    PutU64(s.separator_bits, &out);
-    PutF64(s.j_measure, &out);
-    PutU64(s.bag_bits.size(), &out);
-    for (uint64_t bag : s.bag_bits) PutU64(bag, &out);
+template <class Io>
+void Phase1Tree(Io& io, typename Io::Bundle& b) {
+  auto& t = b.phase1_tree;
+  auto& s = t.stats;
+  TreeWalk walk;
+  walk.branching = As<uint32_t>(io, t.branching);
+  walk.leaf_capacity = As<uint32_t>(io, t.leaf_capacity);
+  walk.num_values = b.dictionary.NumValues();
+  Finite(io, t.threshold, "phase-1 threshold");
+  io.Check(walk.branching >= 2 && walk.branching <= (1u << 16) &&
+               walk.leaf_capacity >= 1 && walk.leaf_capacity <= (1u << 16) &&
+               t.threshold >= 0.0,
+           "phase-1 tree options out of range");
+  for (auto* v : {&s.height, &s.num_nodes, &s.num_leaf_entries,
+                  &s.num_inserts, &s.num_merges}) {
+    io.Pod(*v);
   }
-  return out;
-}
-
-std::string RankedFdsBody(const ModelBundle& b) {
-  std::string out;
-  PutU64(b.num_fds, &out);
-  PutU64(b.ranked_fds.size(), &out);
-  for (const core::RankedFd& r : b.ranked_fds) {
-    PutU64(r.fd.lhs.bits(), &out);
-    PutU64(r.fd.rhs.bits(), &out);
-    PutF64(r.rank, &out);
-    PutU8(r.anchored ? 1 : 0, &out);
-  }
-  return out;
-}
-
-// ---- per-section parsers ----
-
-util::Status ParseMeta(Cursor in, ModelBundle* b) {
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&b->num_rows));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->phi_t));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->phi_v));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->psi));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->mutual_information));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->threshold));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->association_margin));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->value_mutual_information));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->value_threshold));
-  LIMBO_RETURN_IF_ERROR(ExpectDone(in, "meta"));
-  if (b->num_rows == 0) {
-    return util::Status::InvalidArgument("model bundle: num_rows is zero");
-  }
-  for (double v : {b->phi_t, b->phi_v, b->psi, b->mutual_information,
-                   b->threshold, b->association_margin,
-                   b->value_mutual_information, b->value_threshold}) {
-    LIMBO_RETURN_IF_ERROR(CheckFinite(v, "meta field"));
-    if (v < 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: negative meta field");
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ParseSchema(Cursor in, ModelBundle* b) {
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint64_t), &count));
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    LIMBO_RETURN_IF_ERROR(in.ReadStr(&name));
-    names.push_back(std::move(name));
-  }
-  LIMBO_RETURN_IF_ERROR(ExpectDone(in, "schema"));
-  LIMBO_ASSIGN_OR_RETURN(b->schema, relation::Schema::Create(std::move(names)));
-  return util::Status::Ok();
-}
-
-util::Status ParseDictionary(Cursor in, ModelBundle* b) {
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(2 * sizeof(uint32_t) + sizeof(uint64_t), &count));
-  if (count > static_cast<uint64_t>(UINT32_MAX)) {
-    return util::Status::InvalidArgument(
-        "model bundle: dictionary too large");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t attribute = 0;
-    uint32_t support = 0;
-    std::string text;
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&attribute));
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&support));
-    LIMBO_RETURN_IF_ERROR(in.ReadStr(&text));
-    if (attribute >= b->schema.NumAttributes()) {
-      return util::Status::InvalidArgument(
-          "model bundle: dictionary attribute out of range");
-    }
-    // InternCounted requires the pair to be fresh; a corrupt file with a
-    // repeated pair must not silently shadow the first id.
-    if (b->dictionary.Find(attribute, text).ok()) {
-      return util::Status::InvalidArgument(
-          "model bundle: duplicate dictionary entry");
-    }
-    b->dictionary.InternCounted(attribute, text, support);
-  }
-  return ExpectDone(in, "dictionary");
-}
-
-util::Status ParseRepresentatives(Cursor in, ModelBundle* b) {
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(sizeof(double) + sizeof(uint64_t), &count));
-  std::vector<double> priors(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&priors[i]));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(priors[i], "representative mass"));
-    if (priors[i] <= 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: representative mass not > 0");
-    }
-  }
-  std::vector<uint64_t> offsets(count + 1);
-  for (uint64_t i = 0; i <= count; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU64(&offsets[i]));
-    if (i > 0 && offsets[i] < offsets[i - 1]) {
-      return util::Status::InvalidArgument(
-          "model bundle: representative offsets not monotone");
-    }
-  }
-  if (offsets[0] != 0 ||
-      offsets[count] >
-          in.remaining() / (sizeof(uint32_t) + sizeof(double))) {
-    return util::Status::InvalidArgument(
-        "model bundle: representative entry slab size mismatch");
-  }
-  const size_t num_values = b->dictionary.NumValues();
-  b->representatives.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    std::vector<core::SparseDistribution::Entry> entries;
-    entries.reserve(offsets[i + 1] - offsets[i]);
-    for (uint64_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      uint32_t id = 0;
-      double mass = 0.0;
-      LIMBO_RETURN_IF_ERROR(in.ReadU32(&id));
-      LIMBO_RETURN_IF_ERROR(in.ReadF64(&mass));
-      LIMBO_RETURN_IF_ERROR(CheckFinite(mass, "representative entry"));
-      if (mass <= 0.0) {
-        return util::Status::InvalidArgument(
-            "model bundle: representative entry mass not > 0");
-      }
-      if (id >= num_values) {
-        return util::Status::InvalidArgument(
-            "model bundle: representative support id out of range");
-      }
-      if (!entries.empty() && id <= entries.back().id) {
-        return util::Status::InvalidArgument(
-            "model bundle: representative ids not strictly increasing");
-      }
-      entries.push_back({id, mass});
-    }
-    core::Dcf d;
-    d.p = priors[i];
-    if (!entries.empty()) {
-      d.cond = core::SparseDistribution::FromNormalizedPairs(
-          std::move(entries));
-    }
-    b->representatives.push_back(std::move(d));
-  }
-  return ExpectDone(in, "representatives");
-}
-
-util::Status ParseAssignments(Cursor in, ModelBundle* b) {
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(sizeof(uint32_t) + sizeof(double), &count));
-  if (count != b->num_rows) {
-    return util::Status::InvalidArgument(
-        "model bundle: assignment count != num_rows");
-  }
-  b->assignments.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&b->assignments[i]));
-    if (b->assignments[i] >= b->representatives.size()) {
-      return util::Status::InvalidArgument(
-          "model bundle: assignment label out of range");
-    }
-  }
-  b->assignment_loss.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->assignment_loss[i]));
-    LIMBO_RETURN_IF_ERROR(
-        CheckFinite(b->assignment_loss[i], "assignment loss"));
-  }
-  return ExpectDone(in, "assignments");
-}
-
-util::Status ParseValueGroups(Cursor in, ModelBundle* b) {
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint64_t), &count));
-  const size_t num_values = b->dictionary.NumValues();
-  b->value_groups.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    core::ValueGroup g;
-    uint64_t num_members = 0;
-    LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint32_t), &num_members));
-    g.values.resize(num_members);
-    for (uint64_t m = 0; m < num_members; ++m) {
-      uint32_t v = 0;
-      LIMBO_RETURN_IF_ERROR(in.ReadU32(&v));
-      if (v >= num_values) {
-        return util::Status::InvalidArgument(
-            "model bundle: value-group member out of range");
-      }
-      g.values[m] = v;
-    }
-    // The group DCF's conditional ranges over tuples (or tuple clusters
-    // under Double Clustering), so no id bound applies here.
-    LIMBO_RETURN_IF_ERROR(ReadDcf(&in, 0, &g.dcf));
-    uint8_t dup = 0;
-    LIMBO_RETURN_IF_ERROR(in.ReadU8(&dup));
-    if (dup > 1) {
-      return util::Status::InvalidArgument(
-          "model bundle: boolean field out of range");
-    }
-    g.is_duplicate = dup != 0;
-    b->value_groups.push_back(std::move(g));
-  }
-  uint64_t num_dups = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint32_t), &num_dups));
-  b->duplicate_groups.resize(num_dups);
-  for (uint64_t i = 0; i < num_dups; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&b->duplicate_groups[i]));
-    if (b->duplicate_groups[i] >= b->value_groups.size()) {
-      return util::Status::InvalidArgument(
-          "model bundle: duplicate-group index out of range");
-    }
-  }
-  return ExpectDone(in, "value groups");
-}
-
-util::Status ParseGrouping(Cursor in, ModelBundle* b) {
-  b->has_grouping = true;
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint32_t), &count));
-  b->grouping_attributes.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&b->grouping_attributes[i]));
-    if (b->grouping_attributes[i] >= b->schema.NumAttributes()) {
-      return util::Status::InvalidArgument(
-          "model bundle: grouping attribute out of range");
-    }
-  }
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&b->grouping_num_objects));
-  if (b->grouping_num_objects != b->grouping_attributes.size()) {
-    return util::Status::InvalidArgument(
-        "model bundle: grouping leaf count mismatch");
-  }
-  uint64_t num_merges = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(3 * sizeof(uint32_t) + 3 * sizeof(double), &num_merges));
-  b->grouping_merges.reserve(num_merges);
-  for (uint64_t i = 0; i < num_merges; ++i) {
-    core::Merge m{};
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&m.left));
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&m.right));
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&m.merged));
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&m.delta_i));
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&m.cumulative_loss));
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&m.p_merged));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(m.delta_i, "merge loss"));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(m.cumulative_loss, "merge loss"));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(m.p_merged, "merge mass"));
-    // scipy-linkage convention: the i-th merge creates cluster q+i from
-    // two clusters that already exist.
-    const uint64_t limit = b->grouping_num_objects + i;
-    if (m.left >= limit || m.right >= limit || m.left == m.right ||
-        m.merged != limit) {
-      return util::Status::InvalidArgument(
-          "model bundle: merge ids violate the linkage convention");
-    }
-    b->grouping_merges.push_back(m);
-  }
-  uint64_t num_members = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint64_t), &num_members));
-  if (num_members != b->grouping_num_objects + b->grouping_merges.size()) {
-    return util::Status::InvalidArgument(
-        "model bundle: cluster-member table size mismatch");
-  }
-  b->grouping_cluster_members.resize(num_members);
-  for (uint64_t i = 0; i < num_members; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU64(&b->grouping_cluster_members[i]));
-  }
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->max_merge_loss));
-  LIMBO_RETURN_IF_ERROR(CheckFinite(b->max_merge_loss, "max merge loss"));
-  return ExpectDone(in, "grouping");
-}
-
-util::Status ParseRankedFds(Cursor in, ModelBundle* b) {
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&b->num_fds));
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(2 * sizeof(uint64_t) + sizeof(double) + 1, &count));
-  const uint64_t attr_mask =
-      fd::AttributeSet::Full(b->schema.NumAttributes()).bits();
-  b->ranked_fds.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    core::RankedFd r;
-    uint64_t lhs = 0;
-    uint64_t rhs = 0;
-    LIMBO_RETURN_IF_ERROR(in.ReadU64(&lhs));
-    LIMBO_RETURN_IF_ERROR(in.ReadU64(&rhs));
-    if ((lhs & ~attr_mask) != 0 || (rhs & ~attr_mask) != 0) {
-      return util::Status::InvalidArgument(
-          "model bundle: FD attribute bits out of range");
-    }
-    r.fd.lhs = fd::AttributeSet(lhs);
-    r.fd.rhs = fd::AttributeSet(rhs);
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&r.rank));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(r.rank, "FD rank"));
-    uint8_t anchored = 0;
-    LIMBO_RETURN_IF_ERROR(in.ReadU8(&anchored));
-    if (anchored > 1) {
-      return util::Status::InvalidArgument(
-          "model bundle: boolean field out of range");
-    }
-    r.anchored = anchored != 0;
-    b->ranked_fds.push_back(std::move(r));
-  }
-  return ExpectDone(in, "ranked FDs");
-}
-
-/// Recursive node parser for the phase-1 tree section. `depth` is
-/// 1-based; `nodes`/`max_depth`/`id_seen` accumulate the structural
-/// facts cross-checked against the header stats afterwards.
-util::Status ParseFrozenNode(Cursor* in, const core::FrozenDcfTree& t,
-                             size_t num_values, size_t depth, size_t* nodes,
-                             size_t* max_depth, std::vector<bool>* id_seen,
-                             core::FrozenDcfNode* out) {
-  if (depth > kMaxTreeDepth) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 tree deeper than the format allows");
-  }
-  ++*nodes;
-  if (depth > *max_depth) *max_depth = depth;
-  uint8_t is_leaf = 0;
-  LIMBO_RETURN_IF_ERROR(in->ReadU8(&is_leaf));
-  if (is_leaf > 1) {
-    return util::Status::InvalidArgument(
-        "model bundle: boolean field out of range");
-  }
-  out->is_leaf = is_leaf != 0;
-  if (out->is_leaf) {
-    uint64_t count = 0;
-    LIMBO_RETURN_IF_ERROR(in->ReadCount(
-        sizeof(uint32_t) + sizeof(double) + 2 * sizeof(uint64_t), &count));
-    if (count > static_cast<uint64_t>(t.leaf_capacity)) {
-      return util::Status::InvalidArgument(
-          "model bundle: phase-1 leaf over capacity");
-    }
-    out->entries.reserve(count);
-    out->entry_ids.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t id = 0;
-      LIMBO_RETURN_IF_ERROR(in->ReadU32(&id));
-      if (id >= id_seen->size() || (*id_seen)[id]) {
-        return util::Status::InvalidArgument(
-            "model bundle: phase-1 leaf-entry id out of range or repeated");
-      }
-      (*id_seen)[id] = true;
-      core::Dcf entry;
-      LIMBO_RETURN_IF_ERROR(ReadDcf(in, num_values, &entry));
-      out->entry_ids.push_back(id);
-      out->entries.push_back(std::move(entry));
-    }
-    return util::Status::Ok();
-  }
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in->ReadCount(2 * sizeof(double) + 1, &count));
-  if (count < 1 || count > static_cast<uint64_t>(t.branching)) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 internal fan-out out of range");
-  }
-  out->children.resize(count);
-  for (uint64_t c = 0; c < count; ++c) {
-    core::FrozenDcfChild& child = out->children[c];
-    LIMBO_RETURN_IF_ERROR(in->ReadF64(&child.p));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(child.p, "phase-1 child mass"));
-    if (child.p <= 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: phase-1 child mass not > 0");
-    }
-    uint64_t acc_count = 0;
-    LIMBO_RETURN_IF_ERROR(
-        in->ReadCount(sizeof(uint32_t) + sizeof(double), &acc_count));
-    child.acc_ids.resize(acc_count);
-    child.acc_masses.resize(acc_count);
-    for (uint64_t e = 0; e < acc_count; ++e) {
-      LIMBO_RETURN_IF_ERROR(in->ReadU32(&child.acc_ids[e]));
-      LIMBO_RETURN_IF_ERROR(in->ReadF64(&child.acc_masses[e]));
-      LIMBO_RETURN_IF_ERROR(
-          CheckFinite(child.acc_masses[e], "phase-1 accumulator mass"));
-      if (child.acc_masses[e] <= 0.0) {
-        return util::Status::InvalidArgument(
-            "model bundle: phase-1 accumulator mass not > 0");
-      }
-      if (child.acc_ids[e] >= num_values) {
-        return util::Status::InvalidArgument(
-            "model bundle: phase-1 accumulator id out of range");
-      }
-      if (e > 0 && child.acc_ids[e] <= child.acc_ids[e - 1]) {
-        return util::Status::InvalidArgument(
-            "model bundle: phase-1 accumulator ids not strictly increasing");
-      }
-    }
-    LIMBO_RETURN_IF_ERROR(ParseFrozenNode(in, t, num_values, depth + 1,
-                                          nodes, max_depth, id_seen,
-                                          &child.node));
-  }
-  return util::Status::Ok();
-}
-
-util::Status ParsePhase1Tree(Cursor in, ModelBundle* b) {
-  core::FrozenDcfTree& t = b->phase1_tree;
-  uint32_t branching = 0;
-  uint32_t leaf_capacity = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&branching));
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&leaf_capacity));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&t.threshold));
-  LIMBO_RETURN_IF_ERROR(CheckFinite(t.threshold, "phase-1 threshold"));
-  if (branching < 2 || branching > (1u << 16) || leaf_capacity < 1 ||
-      leaf_capacity > (1u << 16) || t.threshold < 0.0) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 tree options out of range");
-  }
-  t.branching = static_cast<int>(branching);
-  t.leaf_capacity = static_cast<int>(leaf_capacity);
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&t.stats.height));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&t.stats.num_nodes));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&t.stats.num_leaf_entries));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&t.stats.num_inserts));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&t.stats.num_merges));
   // Every insert either merged into an existing entry or created one, and
-  // the fit pipeline inserts each row exactly once.
-  if (t.stats.height < 1 || t.stats.height > kMaxTreeDepth ||
-      t.stats.num_nodes < 1 ||
-      t.stats.num_leaf_entries > t.stats.num_inserts ||
-      t.stats.num_merges != t.stats.num_inserts - t.stats.num_leaf_entries ||
-      t.stats.num_leaf_entries > static_cast<uint64_t>(UINT32_MAX) ||
-      t.stats.num_inserts != b->num_rows) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 tree stats inconsistent");
+  // the fit pipeline inserts each row exactly once. The leaf entries must
+  // also fit in the section before the id table below is sized by them.
+  io.Check(s.height >= 1 && s.height <= kMaxTreeDepth && s.num_nodes >= 1 &&
+               s.num_leaf_entries <= s.num_inserts &&
+               s.num_merges == s.num_inserts - s.num_leaf_entries &&
+               s.num_leaf_entries <= UINT32_MAX &&
+               io.Fits(s.num_leaf_entries, kLeafEntryBytes) &&
+               s.num_inserts == b.num_rows,
+           "phase-1 tree stats inconsistent");
+  walk.id_seen.assign(io.ok() ? s.num_leaf_entries : 0, false);
+  TreeNode(io, t.root, walk, /*depth=*/1);
+  io.Check(walk.nodes == s.num_nodes && walk.max_depth == s.height,
+           "phase-1 tree shape does not match its stats");
+  io.Check(std::find(walk.id_seen.begin(), walk.id_seen.end(), false) ==
+               walk.id_seen.end(),
+           "phase-1 leaf-entry id missing");
+  const uint64_t rows = Size(io, b.row_entry_ids, sizeof(uint32_t));
+  io.Check(rows == b.num_rows, "phase-1 row-entry count != num_rows");
+  for (auto& id : b.row_entry_ids) {
+    io.Check(io.Pod(id) < s.num_leaf_entries,
+             "phase-1 row-entry id out of range");
   }
-  size_t nodes = 0;
-  size_t max_depth = 0;
-  std::vector<bool> id_seen(t.stats.num_leaf_entries, false);
-  LIMBO_RETURN_IF_ERROR(ParseFrozenNode(&in, t, b->dictionary.NumValues(),
-                                        /*depth=*/1, &nodes, &max_depth,
-                                        &id_seen, &t.root));
-  if (nodes != t.stats.num_nodes || max_depth != t.stats.height) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 tree shape does not match its stats");
-  }
-  for (size_t id = 0; id < id_seen.size(); ++id) {
-    if (!id_seen[id]) {
-      return util::Status::InvalidArgument(
-          "model bundle: phase-1 leaf-entry id missing");
-    }
-  }
-  uint64_t num_row_ids = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint32_t), &num_row_ids));
-  if (num_row_ids != b->num_rows) {
-    return util::Status::InvalidArgument(
-        "model bundle: phase-1 row-entry count != num_rows");
-  }
-  b->row_entry_ids.resize(num_row_ids);
-  for (uint64_t i = 0; i < num_row_ids; ++i) {
-    LIMBO_RETURN_IF_ERROR(in.ReadU32(&b->row_entry_ids[i]));
-    if (b->row_entry_ids[i] >= t.stats.num_leaf_entries) {
-      return util::Status::InvalidArgument(
-          "model bundle: phase-1 row-entry id out of range");
-    }
-  }
-  LIMBO_RETURN_IF_ERROR(ExpectDone(in, "phase-1 tree"));
-  b->has_phase1_tree = true;
-  return util::Status::Ok();
 }
 
-util::Status ParseLineage(Cursor in, ModelBundle* b) {
-  BundleLineage& l = b->lineage;
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&l.parent_checksum));
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&l.refit_generation));
-  uint32_t drift_class = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&drift_class));
-  if (drift_class > static_cast<uint32_t>(DriftClass::kSevere)) {
-    return util::Status::InvalidArgument(
-        "model bundle: drift class out of range");
-  }
-  l.drift_class = static_cast<DriftClass>(drift_class);
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&l.base_rows));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&l.rows_absorbed));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&l.total_rows_absorbed));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&l.drift_score));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&l.drift_moderate));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&l.drift_severe));
-  // Version 3 appended the entropy-drift second signal; v2 lineage
-  // bodies end after the thresholds.
-  if (b->format_version >= 3) {
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&l.entropy_drift));
-  }
-  LIMBO_RETURN_IF_ERROR(ExpectDone(in, "lineage"));
-  for (double v : {l.drift_score, l.drift_moderate, l.drift_severe,
-                   l.entropy_drift}) {
-    LIMBO_RETURN_IF_ERROR(CheckFinite(v, "lineage field"));
-    if (v < 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: negative lineage field");
-    }
-  }
-  if (l.refit_generation < 1 || l.base_rows < 1 ||
-      l.rows_absorbed > l.total_rows_absorbed ||
-      l.base_rows + l.total_rows_absorbed != b->num_rows) {
-    return util::Status::InvalidArgument(
-        "model bundle: lineage row accounting inconsistent");
-  }
-  b->has_lineage = true;
-  return util::Status::Ok();
+template <class Io>
+void Lineage(Io& io, typename Io::Bundle& b) {
+  auto& l = b.lineage;
+  io.Pod(l.parent_checksum);
+  io.Pod(l.refit_generation);
+  io.Check(As<uint32_t>(io, l.drift_class) <=
+               static_cast<uint32_t>(DriftClass::kSevere),
+           "drift class out of range");
+  io.Pod(l.base_rows);
+  io.Pod(l.rows_absorbed);
+  io.Pod(l.total_rows_absorbed);
+  NonNegative(io, l.drift_score, "lineage field");
+  NonNegative(io, l.drift_moderate, "lineage field");
+  NonNegative(io, l.drift_severe, "lineage field");
+  // Version 3 appended the entropy-drift second signal; v2 lineage bodies
+  // end after the thresholds. The writer always writes the current
+  // version, so a re-saved v2 child gains the field (as 0).
+  if (io.version() >= 3) NonNegative(io, l.entropy_drift, "lineage field");
+  io.Check(l.refit_generation >= 1 && l.base_rows >= 1 &&
+               l.rows_absorbed <= l.total_rows_absorbed &&
+               l.base_rows + l.total_rows_absorbed == b.num_rows,
+           "lineage row accounting inconsistent");
 }
 
-util::Status ParseSchemes(Cursor in, ModelBundle* b) {
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->schemes_epsilon));
-  LIMBO_RETURN_IF_ERROR(CheckFinite(b->schemes_epsilon, "schemes epsilon"));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&b->schemes_max_separator));
-  LIMBO_RETURN_IF_ERROR(in.ReadF64(&b->schemes_total_entropy));
-  LIMBO_RETURN_IF_ERROR(
-      CheckFinite(b->schemes_total_entropy, "schemes entropy"));
-  if (b->schemes_epsilon < 0.0 || b->schemes_total_entropy < 0.0 ||
-      b->schemes_max_separator > 64) {
-    return util::Status::InvalidArgument(
-        "model bundle: schemes header field out of range");
-  }
-  uint64_t count = 0;
-  LIMBO_RETURN_IF_ERROR(
-      in.ReadCount(2 * sizeof(uint64_t) + sizeof(double), &count));
-  const uint64_t attr_mask =
-      fd::AttributeSet::Full(b->schema.NumAttributes()).bits();
-  b->schemes.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    BundleScheme s;
-    LIMBO_RETURN_IF_ERROR(in.ReadU64(&s.separator_bits));
-    LIMBO_RETURN_IF_ERROR(in.ReadF64(&s.j_measure));
-    LIMBO_RETURN_IF_ERROR(CheckFinite(s.j_measure, "scheme j-measure"));
-    if ((s.separator_bits & ~attr_mask) != 0 || s.j_measure < 0.0) {
-      return util::Status::InvalidArgument(
-          "model bundle: scheme separator or j-measure out of range");
-    }
-    uint64_t num_bags = 0;
-    LIMBO_RETURN_IF_ERROR(in.ReadCount(sizeof(uint64_t), &num_bags));
-    if (num_bags < 2) {
-      return util::Status::InvalidArgument(
-          "model bundle: scheme has fewer than two bags");
-    }
-    s.bag_bits.resize(num_bags);
+template <class Io>
+void Schemes(Io& io, typename Io::Bundle& b) {
+  const uint64_t mask = fd::AttributeSet::Full(b.schema.NumAttributes()).bits();
+  Finite(io, b.schemes_epsilon, "schemes epsilon");
+  io.Pod(b.schemes_max_separator);
+  Finite(io, b.schemes_total_entropy, "schemes entropy");
+  io.Check(b.schemes_epsilon >= 0.0 && b.schemes_total_entropy >= 0.0 &&
+               b.schemes_max_separator <= 64,
+           "schemes header field out of range");
+  Size(io, b.schemes, 2 * sizeof(uint64_t) + sizeof(double));
+  for (auto& s : b.schemes) {
+    const uint64_t separator =
+        Bits(io, s.separator_bits, mask, "scheme separator");
+    NonNegative(io, s.j_measure, "scheme j-measure");
+    const uint64_t bags = Size(io, s.bag_bits, sizeof(uint64_t));
+    io.Check(bags >= 2, "scheme has fewer than two bags");
     uint64_t covered = 0;
-    for (uint64_t g = 0; g < num_bags; ++g) {
-      LIMBO_RETURN_IF_ERROR(in.ReadU64(&s.bag_bits[g]));
-      const uint64_t bag = s.bag_bits[g];
-      // Bags come sorted, each inside the schema, each containing the
-      // separator, and no attribute outside the separator may repeat —
-      // the components partition Ω ∖ X.
-      if ((bag & ~attr_mask) != 0 || (s.separator_bits & ~bag) != 0 ||
-          (g > 0 && bag <= s.bag_bits[g - 1]) ||
-          ((covered & bag) & ~s.separator_bits) != 0) {
-        return util::Status::InvalidArgument(
-            "model bundle: scheme bags malformed");
-      }
+    for (uint64_t g = 0; g < bags; ++g) {
+      const uint64_t bag = Bits(io, s.bag_bits[g], mask, "scheme bag");
+      // Bags come sorted, each containing the separator, and no attribute
+      // outside the separator may repeat — the components partition Ω ∖ X.
+      io.Check((separator & ~bag) == 0 &&
+                   (g == 0 || bag > s.bag_bits[g - 1]) &&
+                   ((covered & bag) & ~separator) == 0,
+               "scheme bags malformed");
       covered |= bag;
     }
-    if (covered != attr_mask) {
-      return util::Status::InvalidArgument(
-          "model bundle: scheme bags do not cover the schema");
-    }
-    b->schemes.push_back(std::move(s));
+    io.Check(covered == mask, "scheme bags do not cover the schema");
   }
-  LIMBO_RETURN_IF_ERROR(ExpectDone(in, "schemes"));
-  b->has_schemes = true;
-  return util::Status::Ok();
+}
+
+template <class Io>
+void Section(Io& io, uint32_t tag, typename Io::Bundle& b) {
+  switch (tag) {
+    case kMeta: return Meta(io, b);
+    case kSchema: return Schema(io, b);
+    case kDictionary: return Dictionary(io, b);
+    case kRepresentatives: return Representatives(io, b);
+    case kAssignments: return Assignments(io, b);
+    case kValueGroups: return ValueGroups(io, b);
+    case kGrouping: return Grouping(io, b);
+    case kRankedFds: return RankedFds(io, b);
+    case kPhase1Tree: return Phase1Tree(io, b);
+    case kLineage: return Lineage(io, b);
+    case kSchemes: return Schemes(io, b);
+  }
 }
 
 }  // namespace
@@ -960,56 +636,47 @@ uint64_t Fnv1a(const void* data, size_t size) {
 
 std::string SerializeBundle(const ModelBundle& bundle) {
   std::string payload;
-  PutSection(kMeta, MetaBody(bundle), &payload);
-  PutSection(kSchema, SchemaBody(bundle), &payload);
-  PutSection(kDictionary, DictionaryBody(bundle), &payload);
-  PutSection(kRepresentatives, RepresentativesBody(bundle), &payload);
-  PutSection(kAssignments, AssignmentsBody(bundle), &payload);
-  PutSection(kValueGroups, ValueGroupsBody(bundle), &payload);
-  if (bundle.has_grouping) {
-    PutSection(kGrouping, GroupingBody(bundle), &payload);
-  }
-  PutSection(kRankedFds, RankedFdsBody(bundle), &payload);
-  if (bundle.has_phase1_tree) {
-    PutSection(kPhase1Tree, Phase1TreeBody(bundle), &payload);
-  }
-  if (bundle.has_lineage) {
-    PutSection(kLineage, LineageBody(bundle), &payload);
-  }
-  if (bundle.has_schemes) {
-    PutSection(kSchemes, SchemesBody(bundle), &payload);
+  Writer io(&payload);
+  for (const SectionSpec& spec : kSections) {
+    if (spec.present != nullptr && !(bundle.*spec.present)) continue;
+    io.Pod(spec.tag);
+    io.Pod(uint32_t{0});
+    const size_t len_at = payload.size();
+    io.Pod(uint64_t{0});  // the body length, patched below
+    Section(io, spec.tag, bundle);
+    const uint64_t len = payload.size() - len_at - sizeof(uint64_t);
+    std::memcpy(payload.data() + len_at, &len, sizeof(len));
   }
 
   std::string out;
   out.reserve(sizeof(kMagic) + 24 + payload.size());
   out.append(kMagic, sizeof(kMagic));
-  PutU32(kFormatVersion, &out);
-  PutU32(0, &out);
-  PutU64(payload.size(), &out);
-  PutU64(Fnv1a(payload.data(), payload.size()), &out);
+  Writer header(&out);
+  header.Pod(kFormatVersion);
+  header.Pod(uint32_t{0});
+  header.Pod(static_cast<uint64_t>(payload.size()));
+  header.Pod(Fnv1a(payload.data(), payload.size()));
   out.append(payload);
   return out;
 }
 
 util::Result<ModelBundle> ParseBundle(const std::string& bytes) {
-  Cursor header(bytes.data(), bytes.size());
-  char magic[sizeof(kMagic)];
   if (bytes.size() < sizeof(kMagic)) {
     return util::Status::InvalidArgument("model bundle: truncated header");
   }
-  std::memcpy(magic, bytes.data(), sizeof(kMagic));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return util::Status::InvalidArgument("not a .limbo model bundle");
   }
-  Cursor in(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic));
+  Reader in(bytes.data() + sizeof(kMagic), bytes.size() - sizeof(kMagic), 0);
   uint32_t version = 0;
   uint32_t reserved = 0;
   uint64_t payload_len = 0;
   uint64_t checksum = 0;
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&version));
-  LIMBO_RETURN_IF_ERROR(in.ReadU32(&reserved));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&payload_len));
-  LIMBO_RETURN_IF_ERROR(in.ReadU64(&checksum));
+  in.Pod(version);
+  in.Pod(reserved);
+  in.Pod(payload_len);
+  in.Pod(checksum);
+  LIMBO_RETURN_IF_ERROR(in.status());
   if (version < kMinFormatVersion || version > kFormatVersion) {
     return util::Status::InvalidArgument(util::StrFormat(
         "model bundle: format version %u, this build reads %u..%u", version,
@@ -1033,22 +700,20 @@ util::Result<ModelBundle> ParseBundle(const std::string& bytes) {
   ModelBundle bundle;
   bundle.format_version = version;
   bundle.payload_checksum = checksum;
-  Cursor sections(payload, payload_len);
+  Reader sections(payload, payload_len, version);
   uint32_t last_tag = 0;
-  const uint32_t max_tag = MaxTagForVersion(version);
-  bool seen[kSchemes + 1] = {false};
-  while (!sections.done()) {
+  bool seen[kNumTags + 1] = {false};
+  while (sections.remaining() > 0) {
     uint32_t tag = 0;
     uint32_t tag_reserved = 0;
     uint64_t len = 0;
-    LIMBO_RETURN_IF_ERROR(sections.ReadU32(&tag));
-    LIMBO_RETURN_IF_ERROR(sections.ReadU32(&tag_reserved));
-    LIMBO_RETURN_IF_ERROR(sections.ReadU64(&len));
-    if (tag_reserved != 0) {
-      return util::Status::InvalidArgument(
-          "model bundle: nonzero reserved section field");
-    }
-    if (tag <= last_tag || tag > max_tag) {
+    sections.Pod(tag);
+    sections.Pod(tag_reserved);
+    sections.Pod(len);
+    sections.Check(tag_reserved == 0, "nonzero reserved section field");
+    LIMBO_RETURN_IF_ERROR(sections.status());
+    if (tag <= last_tag || tag > kNumTags ||
+        kSections[tag - 1].since > version) {
       return util::Status::InvalidArgument(util::StrFormat(
           "model bundle: unknown or out-of-order section tag %u", tag));
     }
@@ -1056,55 +721,18 @@ util::Result<ModelBundle> ParseBundle(const std::string& bytes) {
       return util::Status::InvalidArgument(
           "model bundle: truncated section");
     }
+    const SectionSpec& spec = kSections[tag - 1];
+    Reader body = sections.Slice(len);
+    Section(body, tag, bundle);
+    LIMBO_RETURN_IF_ERROR(body.Finish(spec.name));
+    if (spec.present != nullptr) bundle.*spec.present = true;
     last_tag = tag;
     seen[tag] = true;
-    const char* body = payload + (payload_len - sections.remaining());
-    Cursor section(body, len);
-    // Consume the body from the outer cursor by re-slicing.
-    sections = Cursor(body + len, sections.remaining() - len);
-    switch (tag) {
-      case kMeta:
-        LIMBO_RETURN_IF_ERROR(ParseMeta(section, &bundle));
-        break;
-      case kSchema:
-        LIMBO_RETURN_IF_ERROR(ParseSchema(section, &bundle));
-        break;
-      case kDictionary:
-        LIMBO_RETURN_IF_ERROR(ParseDictionary(section, &bundle));
-        break;
-      case kRepresentatives:
-        LIMBO_RETURN_IF_ERROR(ParseRepresentatives(section, &bundle));
-        break;
-      case kAssignments:
-        LIMBO_RETURN_IF_ERROR(ParseAssignments(section, &bundle));
-        break;
-      case kValueGroups:
-        LIMBO_RETURN_IF_ERROR(ParseValueGroups(section, &bundle));
-        break;
-      case kGrouping:
-        LIMBO_RETURN_IF_ERROR(ParseGrouping(section, &bundle));
-        break;
-      case kRankedFds:
-        LIMBO_RETURN_IF_ERROR(ParseRankedFds(section, &bundle));
-        break;
-      case kPhase1Tree:
-        LIMBO_RETURN_IF_ERROR(ParsePhase1Tree(section, &bundle));
-        break;
-      case kLineage:
-        LIMBO_RETURN_IF_ERROR(ParseLineage(section, &bundle));
-        break;
-      case kSchemes:
-        LIMBO_RETURN_IF_ERROR(ParseSchemes(section, &bundle));
-        break;
-      default:
-        return util::Status::Internal("unreachable section tag");
-    }
   }
-  for (uint32_t tag : {kMeta, kSchema, kDictionary, kRepresentatives,
-                       kAssignments, kValueGroups, kRankedFds}) {
-    if (!seen[tag]) {
+  for (const SectionSpec& spec : kSections) {
+    if (spec.present == nullptr && !seen[spec.tag]) {
       return util::Status::InvalidArgument(
-          util::StrFormat("model bundle: missing section %u", tag));
+          util::StrFormat("model bundle: missing section %u", spec.tag));
     }
   }
   return bundle;

@@ -95,10 +95,17 @@ struct BundleScheme {
 ///   | 8     | FNV-1a checksum of the payload (u64)    |
 ///   | ...   | payload: sections in ascending tag order|
 ///
-/// Each section is `u32 tag, u32 reserved, u64 byte length, body`. Any
-/// truncation, checksum mismatch, version bump, unknown tag, or value
-/// out of range yields a typed util::Status error — never a crash and
-/// never a silently-wrong bundle.
+/// Each section is `u32 tag, u32 reserved, u64 byte length, body`.
+///
+/// The codec rule: each section body is one template over a writer and a
+/// reader, so it is described once and both directions agree on every
+/// field. The reader checks each field next to where it reads it (range,
+/// finiteness, positivity, monotonicity; counts are bounded by the bytes
+/// left). Version gating is the reader's alone: it reads a field only in
+/// the versions that carry it, and the writer always writes the current
+/// version. Any truncation, checksum mismatch, version bump, unknown tag,
+/// or value out of range yields an InvalidArgument starting with
+/// `model bundle:` — never a crash and never a silently-wrong bundle.
 ///
 /// Sections (tags 9 and 10 exist only in version >= 2 files, tag 11 only
 /// in version >= 3):

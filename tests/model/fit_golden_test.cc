@@ -1,9 +1,10 @@
 // Goldens for the default model fit: the byte size and an FNV-1a digest
 // of the saved bundle, on DB2 and on 3k DBLP tuples, at 1, 2, 4 and 8
-// worker lanes. The bundle freezes every stage of a fit (Phase-1 leaves,
-// AIB merges, Phase-3 assignments, value groups, the dendrogram, ranked
-// FDs and the refit tree), so a layout change anywhere under FitModel
-// that moves one bit fails here.
+// worker lanes, plus the bundle's parse-and-rewrite round trip. The
+// bundle freezes every stage of a fit (Phase-1 leaves, AIB merges,
+// Phase-3 assignments, value groups, the dendrogram, ranked FDs and the
+// refit tree), so a layout change anywhere under FitModel that moves one
+// bit fails here.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -51,6 +52,13 @@ Pinned PinFit(const relation::Relation& rel) {
   const std::string bytes((std::istreambuf_iterator<char>(file)),
                           std::istreambuf_iterator<char>());
   std::remove(path.c_str());
+  // The reader half: parsing the file and writing it again must give back
+  // the same bytes, so no field is lost or altered on the way in.
+  auto parsed = ParseBundle(bytes);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (parsed.ok()) {
+    EXPECT_TRUE(SerializeBundle(*parsed) == bytes);
+  }
   return {bytes.size(), Fnv1a(bytes)};
 }
 
