@@ -11,7 +11,11 @@
 //  * `micro_limbo --kernel` times the δI distance kernel across support
 //    shapes: ns per evaluation of the per-pair formulation vs the arena
 //    batch kernel, one row of the "kernel" table per shape. Bit identity
-//    against the per-pair reference is KernelEquivalenceTest's gate.
+//    against the per-pair reference is KernelEquivalenceTest's gate. Its
+//    "nearest" table runs the bound-pruned Phase-3 search on 10k DBLP
+//    tuples (against their heavy Phase-1 leaves, and against k = 64
+//    representatives) beside the full scan: δI scored by each and their
+//    seconds. It exits 1 if any object's label or loss bits differ.
 //  * `micro_limbo --stream [--tuples=N]` writes a DBLP-sized CSV, then
 //    runs the streamed (RowSource + RunLimboStreamed) and materialized
 //    (ReadCsv + RunLimbo) pipelines over it — each in its own child
@@ -56,6 +60,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -81,6 +86,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -327,7 +333,93 @@ void MeasureKernelCase(const char* name, size_t so, size_t sc, uint64_t seed,
        obs::ReportValue::Number(max_abs_diff)});
 }
 
-/// Kernel benchmark mode: the micro sweep over support shapes.
+/// Measures one nearest-candidate shape: every object's
+/// core::FindNearestCandidate against `candidates` on one lane, then the
+/// full scan. Appends the δI evaluations each arm made, both wall times
+/// and the number of objects whose (label, loss bits) differ; returns
+/// that number.
+size_t MeasureNearestCase(const char* name,
+                          const std::vector<core::Dcf>& objects,
+                          const std::vector<core::Dcf>& candidates,
+                          obs::ReportTable* table) {
+  const core::CandidateSet set(candidates);
+  core::LossKernel kernel;
+  std::vector<core::NearestCandidate> nearest(objects.size());
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < objects.size(); ++i) {
+    nearest[i] = core::FindNearestCandidate(&kernel, objects[i].p,
+                                            objects[i].cond, set);
+  }
+  const double seconds = Seconds(start);
+  // The full scan: every δI through InformationLossBatch (bit-identical
+  // to InformationLoss per pair), strict-< argmin. It only checks, so it
+  // runs on every lane; full_seconds is wall time at that lane count.
+  start = std::chrono::steady_clock::now();
+  std::vector<uint8_t> differs(objects.size(), 0);
+  util::ThreadPool pool(0);
+  pool.ParallelFor(0, objects.size(), 64, [&](size_t lo, size_t hi) {
+    std::vector<double> losses(candidates.size());
+    for (size_t i = lo; i < hi; ++i) {
+      core::InformationLossBatch(objects[i], candidates, losses);
+      uint32_t label = 0;
+      double loss = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < losses.size(); ++c) {
+        if (losses[c] < loss) {
+          loss = losses[c];
+          label = static_cast<uint32_t>(c);
+        }
+      }
+      differs[i] = nearest[i].index != label ||
+                   std::memcmp(&nearest[i].loss, &loss, sizeof(double)) != 0;
+    }
+  });
+  const double full_seconds = Seconds(start);
+  const size_t mismatches = std::count(differs.begin(), differs.end(), 1);
+  table->rows.push_back(
+      {obs::ReportValue::String(name),
+       obs::ReportValue::Integer(objects.size()),
+       obs::ReportValue::Integer(candidates.size()),
+       obs::ReportValue::Integer(kernel.stats().loss_calls),
+       obs::ReportValue::Integer(objects.size() * candidates.size()),
+       obs::ReportValue::Number(seconds),
+       obs::ReportValue::Number(full_seconds),
+       obs::ReportValue::Integer(mismatches)});
+  return mismatches;
+}
+
+/// The two nearest-candidate shapes the derived tools and serving run:
+/// 10k DBLP tuples against their heavy Phase-1 leaves (the duplicate-tuple
+/// pass at its default φ_T = 0.1), and the same tuples against the k = 64
+/// representatives of a φ = 0.5 LIMBO run. Returns the total mismatches.
+size_t MeasureNearestCases(obs::ReportTable* table) {
+  datagen::DblpOptions dblp;
+  dblp.target_tuples = 10000;
+  dblp.seed = 1;
+  const std::vector<core::Dcf> objects =
+      core::BuildTupleObjects(datagen::GenerateDblp(dblp));
+  core::LimboOptions options;
+  options.phi = 0.1;
+  core::VectorDcfStream stream(objects);
+  const core::Phase1Summary phase1 =
+      core::SummarizePhase1(stream, options).value();
+  std::vector<core::Dcf> heavy;
+  const double single = 1.0 / static_cast<double>(objects.size());
+  for (const core::Dcf& leaf : phase1.leaves) {
+    if (leaf.p > single * 1.5) heavy.push_back(leaf);
+  }
+  size_t mismatches =
+      MeasureNearestCase("tuples_vs_heavy_leaves", objects, heavy, table);
+  options.phi = 0.5;
+  options.k = 64;
+  const core::LimboResult k64 = core::RunLimbo(objects, options).value();
+  mismatches += MeasureNearestCase("tuples_vs_k64_representatives", objects,
+                                   k64.representatives, table);
+  return mismatches;
+}
+
+/// Kernel benchmark mode: the micro sweep over support shapes, then the
+/// nearest-candidate search against the full scan. Exits 1 if any
+/// object's label or loss bits differ from the full scan's.
 int RunKernelBench() {
   obs::ReportSection kernel("kernel");
   kernel.table.columns = {"case",
@@ -342,7 +434,20 @@ int RunKernelBench() {
   MeasureKernelCase("equal_512", 512, 512, 3, &kernel.table);
   MeasureKernelCase("small_obj_vs_4096", 8, 4096, 4, &kernel.table);
   MeasureKernelCase("large_obj_vs_8", 4096, 8, 5, &kernel.table);
-  PrintReport("micro_limbo --kernel", {std::move(kernel)});
+  obs::ReportSection nearest("nearest");
+  nearest.table.columns = {"shape",          "objects",
+                           "candidates",     "delta_i_scored",
+                           "delta_i_full",   "seconds",
+                           "full_seconds",   "mismatches"};
+  const size_t mismatches = MeasureNearestCases(&nearest.table);
+  PrintReport("micro_limbo --kernel", {std::move(kernel), std::move(nearest)});
+  if (mismatches > 0) {
+    std::fprintf(stderr,
+                 "micro_limbo --kernel: %zu objects differ from the full "
+                 "scan\n",
+                 mismatches);
+    return 1;
+  }
   return 0;
 }
 

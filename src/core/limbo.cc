@@ -39,26 +39,15 @@ std::vector<Dcf> LimboPhase1(const std::vector<Dcf>& objects,
 
 Phase3Assigner::Phase3Assigner(const std::vector<Dcf>& representatives,
                                size_t threads)
-    : pool_(threads), kernels_(pool_.threads()) {
+    : candidates_(representatives), pool_(threads), kernels_(pool_.threads()) {
   LIMBO_CHECK(!representatives.empty());
-  // Representatives live as arena rows (contiguous, cached logs) for the
-  // whole sequence of chunks.
-  size_t total_entries = 0;
-  for (const Dcf& r : representatives) total_entries += r.cond.SupportSize();
-  arena_.ReserveEntries(total_entries);
-  rep_p_.reserve(representatives.size());
-  rep_row_.reserve(representatives.size());
-  for (const Dcf& r : representatives) {
-    rep_p_.push_back(r.p);
-    rep_row_.push_back(arena_.Append(r.cond));
-  }
 }
 
 void Phase3Assigner::AssignChunk(std::span<const Dcf> objects,
                                  uint32_t* labels, double* loss) {
   LIMBO_OBS_COUNT("phase3.objects", objects.size());
   LIMBO_OBS_COUNT("phase3.distance_evals",
-                  static_cast<uint64_t>(objects.size()) * rep_p_.size());
+                  static_cast<uint64_t>(objects.size()) * candidates_.size());
   // Each object's argmin is independent and writes only its own label /
   // loss cell, so the scan parallelizes with bit-identical results.
   pool_.ParallelFor(0, objects.size(), /*grain=*/64,
@@ -66,7 +55,7 @@ void Phase3Assigner::AssignChunk(std::span<const Dcf> objects,
     LossKernel& kernel = kernels_[lane];
     for (size_t i = lo; i < hi; ++i) {
       const NearestCandidate nearest = FindNearestCandidate(
-          &kernel, objects[i].p, objects[i].cond, rep_p_, arena_, rep_row_);
+          &kernel, objects[i].p, objects[i].cond, candidates_);
       labels[i] = nearest.index;
       if (loss != nullptr) loss[i] = nearest.loss;
     }

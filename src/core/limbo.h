@@ -141,13 +141,17 @@ class Phase1Builder {
   std::unique_ptr<DcfTree> tree_;
 };
 
-/// Chunked Phase 3: the representatives are frozen up front (arena rows,
-/// cached logs, one LossKernel per lane) and AssignChunk labels any run
-/// of objects against them. Each object's argmin is a pure function of
-/// (object, representatives), so chunk boundaries and thread counts never
-/// change labels or losses — streamed re-scans are bit-identical to the
-/// one-shot vector call. Call Flush once after the last chunk to publish
-/// the per-lane kernel counters.
+/// Chunked Phase 3: the representatives are frozen up front into one
+/// CandidateSet (the rows plus the inverted value index of the pruned
+/// search), with one LossKernel per lane, and AssignChunk
+/// labels any run of objects against them through FindNearestCandidate.
+/// Each object's argmin is a pure function of (object, representatives),
+/// so chunk boundaries and thread counts never change labels or losses —
+/// streamed re-scans are bit-identical to the one-shot vector call. Call
+/// Flush once after the last chunk to publish the per-lane kernel
+/// counters: `phase3.kernel.loss_calls` counts the δI evaluations the
+/// bound could not skip, while `phase3.distance_evals` stays objects ×
+/// representatives.
 class Phase3Assigner {
  public:
   /// `representatives` must be non-empty.
@@ -170,9 +174,7 @@ class Phase3Assigner {
   void Flush();
 
  private:
-  DistributionArena arena_;
-  std::vector<size_t> rep_row_;
-  std::vector<double> rep_p_;
+  CandidateSet candidates_;
   util::ThreadPool pool_;
   std::vector<LossKernel> kernels_;
 };

@@ -471,20 +471,170 @@ double LossKernel::JsStreamCandidate(double w1, double w2,
   return d;
 }
 
+// ---------------------------------------------------------------------------
+// CandidateSet and the pruned nearest-candidate search
+
+void CandidateSet::Reserve(size_t candidates, size_t entries) {
+  priors_.reserve(candidates);
+  log2_priors_.reserve(candidates);
+  mass_caps_.reserve(candidates);
+  entries_.reserve(entries);
+  row_begin_.reserve(candidates + 1);
+}
+
+void CandidateSet::Add(double p, DistributionView cond) {
+  double mass = 0.0;
+  for (const Entry& e : cond.entries) {
+    if (e.mass <= 0.0) continue;
+    entries_.push_back(e);
+    mass += e.mass;
+  }
+  row_begin_.push_back(entries_.size());
+  priors_.push_back(p);
+  log2_priors_.push_back(p > 0.0 ? Log2(p) : 0.0);
+  mass_caps_.push_back(std::min(1.0, mass));
+}
+
+namespace {
+// `m` rounded up to a float, so that a sum of these is never below the
+// exact sum of the masses.
+float FloatAtLeast(double m) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  if (!(m < std::numeric_limits<float>::max())) return kInf;
+  const float f = static_cast<float>(m);
+  return static_cast<double>(f) < m ? std::nextafter(f, kInf) : f;
+}
+}  // namespace
+
+void CandidateSet::BuildIndex() {
+  // Counting sort of the row entries by value id; filling the lists
+  // candidate by candidate leaves each one in candidate order. The ids
+  // are sorted in posting_candidate_ first, which the fill overwrites.
+  const size_t total = entries_.size();
+  LIMBO_CHECK(total <= UINT32_MAX);
+  posting_candidate_.reserve(total);
+  for (size_t c = 0; c < size(); ++c) {
+    for (const Entry& e : Row(c).entries) {
+      posting_candidate_.push_back(e.id);
+    }
+  }
+  std::sort(posting_candidate_.begin(), posting_candidate_.end());
+  value_ids_.assign(posting_candidate_.begin(),
+                    std::unique(posting_candidate_.begin(),
+                                posting_candidate_.end()));
+  const auto slot = [this](uint32_t id) {
+    return std::lower_bound(value_ids_.begin(), value_ids_.end(), id) -
+           value_ids_.begin();
+  };
+  posting_begin_.assign(value_ids_.size() + 1, 0);
+  for (size_t c = 0; c < size(); ++c) {
+    for (const Entry& e : Row(c).entries) {
+      ++posting_begin_[slot(e.id) + 1];
+    }
+  }
+  for (size_t v = 0; v < value_ids_.size(); ++v) {
+    posting_begin_[v + 1] += posting_begin_[v];
+  }
+  std::vector<uint32_t> next(posting_begin_.begin(),
+                            posting_begin_.end() - 1);
+  posting_candidate_.resize(total);
+  posting_mass_.resize(total);
+  for (size_t c = 0; c < size(); ++c) {
+    for (const Entry& e : Row(c).entries) {
+      const uint32_t k = next[slot(e.id)]++;
+      posting_candidate_[k] = static_cast<uint32_t>(c);
+      posting_mass_[k] = FloatAtLeast(e.mass);
+    }
+  }
+}
+
+namespace {
+// Rounding slack of the lower bound: the bound is scaled by 1 − 1e-9 and
+// then lowered by (p_o + p_c)·1e-12, the scale of the kernel's own
+// rounding in δI = (p_o + p_c)·JS. The absolute part is what keeps ties
+// exact: an object with a tiny mass (say 1e-15) that a candidate lacks
+// gives that candidate a bound of about 1e-15·A, while its δI and that of
+// an exact copy of the object can both round to 0 — a tie the lower index
+// must win. It also covers a shave of 1e-12 off U_o and U_c, because
+// A + B <= p_o + p_c, and candidates whose prior dwarfs the object's,
+// whose δI carries rounding of order p_c·1e-16.
+constexpr double kBoundRelativeSlack = 1e-9;
+constexpr double kBoundLossSlack = 1e-12;
+}  // namespace
+
 NearestCandidate FindNearestCandidate(LossKernel* kernel, double object_p,
                                       DistributionView object_cond,
-                                      std::span<const double> candidate_p,
-                                      const DistributionArena& arena,
-                                      std::span<const size_t> candidate_rows) {
+                                      const CandidateSet& candidates) {
+  const size_t n = candidates.size();
   kernel->SetObject(object_p, object_cond);
+  std::vector<LossKernel::SharedMass>& shared = kernel->shared_;
+  std::vector<double>& bounds = kernel->bounds_;
+  if (shared.size() < n) {
+    shared.resize(n);
+    bounds.resize(n);
+  }
+  const double object_mass = kernel->object_mass_;
+  const bool bounded = object_p > 0.0 && object_mass > 0.0;
+  if (bounded) {
+    // Shared masses through the inverted index. Object ids that no
+    // candidate holds (past the index included) are simply unshared.
+    const std::vector<uint32_t>& ids = candidates.value_ids_;
+    auto it = ids.begin();
+    for (const Entry& e : object_cond.entries) {
+      if (e.mass <= 0.0) continue;
+      it = std::lower_bound(it, ids.end(), e.id);  // object ids ascend
+      if (it == ids.end()) break;
+      if (*it != e.id) continue;
+      const size_t v = it - ids.begin();
+      for (size_t k = candidates.posting_begin_[v];
+           k < candidates.posting_begin_[v + 1]; ++k) {
+        LossKernel::SharedMass& m = shared[candidates.posting_candidate_[k]];
+        m.object += e.mass;
+        m.candidate += candidates.posting_mass_[k];
+      }
+    }
+  }
+  // LB = A·U_o + B·U_c, with log2(1 + p_c/p_o) split as
+  // max(0, log2 p_c − log2 p_o) + log2(1 + r), r = min/max of the priors,
+  // and log2(1 + r) >= log2(e)·2r/(2 + r) = log2(e)·2·min/(2·max + min).
+  const double po = object_p;
+  const double log_po = bounded ? Log2(po) : 0.0;
+  size_t first = 0;
+  for (size_t c = 0; c < n; ++c) {
+    double lb = 0.0;
+    const double pc = candidates.priors_[c];
+    if (bounded && pc > 0.0 && candidates.mass_caps_[c] > 0.0) {
+      const double log_pc = candidates.log2_priors_[c];
+      const double p_min = std::min(pc, po);
+      const double log_1r =
+          kLog2e * 2.0 * p_min / (2.0 * std::max(pc, po) + p_min);
+      const double a = po * (std::max(0.0, log_pc - log_po) + log_1r);
+      const double b = pc * (std::max(0.0, log_po - log_pc) + log_1r);
+      const double uo = object_mass - shared[c].object;
+      const double uc = candidates.mass_caps_[c] - shared[c].candidate;
+      lb = (a * std::max(0.0, uo) + b * std::max(0.0, uc)) *
+               (1.0 - kBoundRelativeSlack) -
+           kBoundLossSlack * (po + pc);
+      if (!(lb > 0.0)) lb = 0.0;
+    }
+    shared[c] = {};
+    bounds[c] = lb;
+    if (lb < bounds[first]) first = c;
+  }
+  // Score the most promising candidate, then every candidate in index
+  // order that its bound cannot rule out; keep the (loss, index) minimum.
   NearestCandidate best;
   best.loss = std::numeric_limits<double>::infinity();
-  for (size_t r = 0; r < candidate_rows.size(); ++r) {
-    const double d = kernel->Loss(candidate_p[r], arena.Row(candidate_rows[r]));
-    if (d < best.loss) {
+  const auto score = [&](size_t c) {
+    const double d = kernel->Loss(candidates.priors_[c], candidates.Row(c));
+    if (d < best.loss || (d == best.loss && c < best.index)) {
       best.loss = d;
-      best.index = static_cast<uint32_t>(r);
+      best.index = static_cast<uint32_t>(c);
     }
+  };
+  score(first);
+  for (size_t c = 0; c < n; ++c) {
+    if (c != first && bounds[c] <= best.loss) score(c);
   }
   return best;
 }

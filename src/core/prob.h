@@ -120,8 +120,7 @@ struct DistributionView {
 /// Slab (CSR) storage for the distribution working set of a clustering
 /// run: every row lives in one contiguous {id, mass} array with a
 /// parallel cached-log2(mass) array and an offsets table. AIB keeps its
-/// slot conditionals here and Phase 3 its representatives, so the
-/// quadratic distance scans stream one allocation instead of hopping
+/// slot conditionals here, so the quadratic distance scans stream one allocation instead of hopping
 /// between per-cluster heap vectors, and the per-entry logs are computed
 /// once per row instead of once per evaluation.
 ///
@@ -163,6 +162,15 @@ class DistributionArena {
   std::vector<double> log2s_;  // log2(entries_[k].mass), parallel
   std::vector<size_t> offsets_ = {0};
 };
+
+/// Result of a nearest-candidate search: the winning candidate's index in
+/// its CandidateSet and its δI.
+struct NearestCandidate {
+  uint32_t index = 0;
+  double loss = 0.0;
+};
+
+class CandidateSet;
 
 /// Fused δI evaluator (Eq. 3) for one object against many candidates.
 ///
@@ -215,6 +223,11 @@ class LossKernel {
   void ResetStats() { stats_ = Stats(); }
 
  private:
+  friend NearestCandidate FindNearestCandidate(LossKernel* kernel,
+                                               double object_p,
+                                               DistributionView object_cond,
+                                               const CandidateSet& candidates);
+
   double JsSmallObject(double w1, double w2, DistributionView cand) const;
   double JsStreamCandidate(double w1, double w2, DistributionView cand) const;
 
@@ -232,28 +245,109 @@ class LossKernel {
   std::vector<uint32_t> touched_;
   uint64_t tag_ = 0;
   mutable Stats stats_;  // mutable: Loss() is logically const
+  // FindNearestCandidate's per-candidate scratch: the object's and the
+  // candidate's mass on their shared values (all zero between searches),
+  // side by side because the postings walk updates both, and the lower
+  // bound on δI.
+  struct SharedMass {
+    double object = 0.0;
+    double candidate = 0.0;
+  };
+  std::vector<SharedMass> shared_;
+  std::vector<double> bounds_;
 };
 
-/// Result of a nearest-candidate scan: the winning candidate's position
-/// in the scanned sequence and its δI.
-struct NearestCandidate {
-  uint32_t index = 0;
-  double loss = 0.0;
+/// The frozen candidate side of a nearest-candidate search — Phase 3's
+/// representatives (or Phase-1 leaves), and the serving engine's. Built
+/// once per candidate list, read-only afterwards, shared by every lane.
+/// It holds:
+///  - each candidate's prior, log2 prior and total mass (capped at 1);
+///  - the conditionals as CSR rows (row i is candidate i), without a
+///    log2 cache: the search scores so few candidates that the logs
+///    would cost more memory (8 bytes an entry) than they save time, and
+///    the kernel's bits do not depend on the cache;
+///  - a CSR inverted index from value id to the (candidate, mass) pairs
+///    of every row holding that id, so one walk over an object's values
+///    yields its shared mass with every candidate.
+class CandidateSet {
+ public:
+  using Entry = SparseDistribution::Entry;
+
+  /// Freezes `candidates` in order: any range of elements with a prior
+  /// `.p` and a conditional `.cond` (a std::vector<Dcf>, say).
+  template <class Range>
+  explicit CandidateSet(const Range& candidates) {
+    size_t entries = 0;
+    for (const auto& c : candidates) entries += c.cond.SupportSize();
+    Reserve(std::size(candidates), entries);
+    for (const auto& c : candidates) Add(c.p, c.cond);
+    BuildIndex();
+  }
+
+  size_t size() const { return priors_.size(); }
+  double prior(size_t i) const { return priors_[i]; }
+  DistributionView Row(size_t i) const {
+    return DistributionView(
+        std::span<const Entry>(entries_.data() + row_begin_[i],
+                               row_begin_[i + 1] - row_begin_[i]),
+        nullptr);
+  }
+
+ private:
+  friend NearestCandidate FindNearestCandidate(LossKernel* kernel,
+                                               double object_p,
+                                               DistributionView object_cond,
+                                               const CandidateSet& candidates);
+
+  void Reserve(size_t candidates, size_t entries);
+  void Add(double p, DistributionView cond);
+  void BuildIndex();
+
+  std::vector<double> priors_;
+  std::vector<double> log2_priors_;
+  std::vector<double> mass_caps_;  // min(1, Σ row mass)
+  // The conditionals in CSR form: candidate i is entries_
+  // [row_begin_[i], row_begin_[i + 1]).
+  std::vector<Entry> entries_;
+  std::vector<size_t> row_begin_ = {0};
+  // Inverted index: the postings of value_ids_[v] are entries
+  // [posting_begin_[v], posting_begin_[v + 1]) of the two parallel
+  // arrays, in candidate order. A posting's mass is the candidate's mass
+  // rounded up to a float: the shared mass it sums to may only overstate
+  // the exact one, which keeps U_c, and with it the bound, from
+  // overstating.
+  std::vector<uint32_t> value_ids_;  // sorted, distinct
+  std::vector<uint32_t> posting_begin_;
+  std::vector<uint32_t> posting_candidate_;
+  std::vector<float> posting_mass_;
 };
 
-/// The Phase-3 inner loop: fixes `object` in the kernel, streams every
-/// candidate arena row through Loss and keeps the strict-< argmin, so
-/// the lowest candidate index wins ties and the result is a pure
-/// function of the pair set. Phase3Assigner::AssignChunk and the serving
-/// engine's assign path (single and batched) all call this one function,
-/// which is what makes a served label bit-identical to the batch run's.
-/// `candidate_p` and `candidate_rows` are parallel; both must be
-/// non-empty.
+/// The Phase-3 inner loop: the candidate with minimal δI(object, ·), the
+/// lowest index winning ties. Phase3Assigner::AssignChunk and the serving
+/// engine's assign path both call this one function, which is what makes
+/// a served label bit-identical to the batch run's.
+///
+/// The search is exact but scores only candidates a lower bound cannot
+/// rule out. With A = p_o·log2(1 + p_c/p_o), B = p_c·log2(1 + p_o/p_c),
+/// U_o the object's mass on values the candidate lacks and U_c the
+/// candidate's mass on values the object lacks,
+///     δI(o, c) = A·U_o + B·U_c + (p_o + p_c)·Σ_shared JS terms,
+/// and every shared JS term is >= 0, so LB = A·U_o + B·U_c <= δI. One walk
+/// over the object's postings gives U_o and U_c for every candidate; the
+/// logs come from cached log2 priors plus a rational lower bound on
+/// log2(1 + r), r = min/max of the two priors, so a bound costs no log.
+/// The candidate with the smallest bound is scored first, then, in index
+/// order, every candidate whose bound is <= the running best; the result
+/// is the (loss, index) lexicographic minimum — exactly the strict-<
+/// first-index argmin of a full scan, in labels and loss bits. The bound
+/// is scaled by 1 − 1e-9 and lowered by (p_o + p_c)·1e-12, so rounding
+/// never prunes a candidate that ties. Zero-prior or empty objects are
+/// scored against every candidate; zero-prior or empty candidates get
+/// bound 0. docs/algorithms.md has the derivation. `candidates` must be
+/// non-empty; the per-candidate scratch lives in `kernel`.
 NearestCandidate FindNearestCandidate(LossKernel* kernel, double object_p,
                                       DistributionView object_cond,
-                                      std::span<const double> candidate_p,
-                                      const DistributionArena& arena,
-                                      std::span<const size_t> candidate_rows);
+                                      const CandidateSet& candidates);
 
 /// Sums the tallies of a set of per-lane kernels into the obs counters
 /// `<prefix>.loss_calls` (work — identical at every thread count) and

@@ -359,6 +359,9 @@ void Representatives(Io& io, typename Io::Bundle& b) {
                io.Fits(offsets[n], sizeof(uint32_t) + sizeof(double)),
            "representative entry slab size mismatch");
   for (uint64_t i = 0; i < n; ++i) {
+    // No fit writes an empty row, and δI against one is 0, so it would
+    // take every served assignment.
+    io.Check(offsets[i + 1] > offsets[i], "representative with empty support");
     Sparse(io, reps[i].cond, offsets[i + 1] - offsets[i],
            b.dictionary.NumValues(), "representative entry");
   }

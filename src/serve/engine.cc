@@ -53,18 +53,12 @@ void AppendNameList(const relation::Schema& schema,
 }  // namespace
 
 Engine::Engine(model::ModelBundle bundle, const EngineOptions& options)
-    : bundle_(std::move(bundle)), options_(options) {
-  // Phase3Assigner's exact frozen state: priors in a flat array, the
-  // representative conditionals as arena rows with cached logs.
+    : bundle_(std::move(bundle)),
+      options_(options),
+      candidates_(bundle_.representatives) {
   const uint64_t base_rows =
       bundle_.has_lineage ? bundle_.lineage.base_rows : bundle_.num_rows;
   row_mass_ = 1.0 / static_cast<double>(base_rows);
-  rep_p_.reserve(bundle_.representatives.size());
-  rep_row_.reserve(bundle_.representatives.size());
-  for (const core::Dcf& rep : bundle_.representatives) {
-    rep_p_.push_back(rep.p);
-    rep_row_.push_back(arena_.Append(rep.cond));
-  }
   value_to_group_.assign(bundle_.dictionary.NumValues(), kNoGroup);
   for (size_t g = 0; g < bundle_.value_groups.size(); ++g) {
     for (relation::ValueId v : bundle_.value_groups[g].values) {
@@ -175,7 +169,7 @@ std::vector<RowAssignment> Engine::AssignBatch(
       continue;
     }
     const core::NearestCandidate nearest = core::FindNearestCandidate(
-        kernel, object->p, object->cond, rep_p_, arena_, rep_row_);
+        kernel, object->p, object->cond, candidates_);
     result.label = nearest.index;
     result.loss = nearest.loss;
   }
@@ -239,7 +233,7 @@ std::string Engine::FormatDuplicates(uint32_t label, double loss,
   // Section 6.1 association test: the row is a near-duplicate iff its
   // nearest cluster is heavy (prior above a single tuple's 1/n) and
   // joining it costs at most margin × the Phase-1 merge threshold.
-  const bool heavy = rep_p_[label] > row_mass_;
+  const bool heavy = candidates_.prior(label) > row_mass_;
   const double limit = bundle_.association_margin * bundle_.threshold;
   const bool duplicate = heavy && loss <= limit;
   std::string out = "{\"ok\":true,";

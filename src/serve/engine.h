@@ -47,10 +47,11 @@ struct RowAssignment {
 /// as crashes — no query can fail the call itself.
 ///
 /// `assign` replicates Phase3Assigner bit for bit: the row object is
-/// p = 1/n uniform over its dictionary ids, the representatives live as
-/// arena rows with cached logs, and the argmin uses strict < (lowest
-/// cluster index wins ties). A fitted row therefore gets exactly the
-/// label and loss the batch run stored, at any worker count.
+/// p = 1/n uniform over its dictionary ids, the representatives are
+/// frozen into one core::CandidateSet, and the argmin is
+/// core::FindNearestCandidate (lowest cluster index wins ties). A fitted
+/// row therefore gets exactly the label and loss the batch run stored,
+/// at any worker count.
 class Engine {
  public:
   /// Loads a bundle file and freezes the serving state.
@@ -71,7 +72,7 @@ class Engine {
   /// query objects with one kernel, returning one response per request,
   /// in order. `assign` and `duplicates` rows across the whole batch are
   /// decoded first and evaluated through a single AssignBatch call (the
-  /// representative slab stays cache-hot across rows); every other op
+  /// candidate index stays cache-hot across rows); every other op
   /// answers in place. Each row's arithmetic is independent of its batch
   /// neighbours, so a request's response never depends on the batch it
   /// rides in. Unknown fields, including "model", are ignored.
@@ -95,10 +96,11 @@ class Engine {
                          double* loss, size_t* oov) const;
 
   /// Assigns a batch of decoded rows with one kernel. Each row is
-  /// core::FindNearestCandidate over the frozen arena rows — Phase 3's
-  /// argmin — so its label and loss do not depend on the batch; the
-  /// batch exists to amortize the representative slab traversal (and, in
-  /// the server, the queue rendezvous and socket writes) across rows.
+  /// core::FindNearestCandidate over the frozen CandidateSet — Phase 3's
+  /// bound-pruned argmin, with its scratch in the lane's kernel — so its
+  /// label and loss do not depend on the batch; the batch exists to
+  /// amortize the representative traversal (and, in the server, the
+  /// queue rendezvous and socket writes) across rows.
   std::vector<RowAssignment> AssignBatch(
       std::span<const std::vector<std::string>> rows,
       core::LossKernel* kernel) const;
@@ -124,10 +126,8 @@ class Engine {
 
   model::ModelBundle bundle_;
   EngineOptions options_;
-  // Frozen Phase-3 state, mirroring Phase3Assigner's layout.
-  core::DistributionArena arena_;
-  std::vector<size_t> rep_row_;
-  std::vector<double> rep_p_;
+  // The representatives, frozen for Phase 3's nearest-candidate search.
+  core::CandidateSet candidates_;
   // 1/base_rows — the mass unit the representatives were fitted in. A
   // refit chain keeps anchoring to the generation-0 row count, so a
   // refitted child serves losses byte-identical to its parent.

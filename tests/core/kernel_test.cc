@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -418,6 +420,185 @@ TEST_P(KernelEquivalenceTest, DblpPhase1LeavesBitIdentical) {
   auto reps = ClusterDcfsAtK(leaves, *aib, 10);
   ASSERT_TRUE(reps.ok());
   ExpectPhase3MatchesReference(objects, *reps, GetParam());
+}
+
+// ---------------------------------------------------------------------------
+// Phase 3 on adversarial candidate sets: every shape below must label and
+// score exactly as the full per-pair scan does, bit for bit.
+
+/// `d` with every mass multiplied by `scale` and kept as is (no
+/// renormalization), so the row sums to `scale` up to rounding.
+SparseDistribution Scaled(const SparseDistribution& d, double scale) {
+  std::vector<SparseDistribution::Entry> entries = d.entries();
+  for (SparseDistribution::Entry& e : entries) e.mass *= scale;
+  return SparseDistribution::FromNormalizedPairs(std::move(entries));
+}
+
+/// `d` with every id moved up by `offset`.
+SparseDistribution Shifted(const SparseDistribution& d, uint32_t offset) {
+  std::vector<SparseDistribution::Entry> entries = d.entries();
+  for (SparseDistribution::Entry& e : entries) e.id += offset;
+  return SparseDistribution::FromNormalizedPairs(std::move(entries));
+}
+
+Dcf WithPrior(Dcf d, double p) {
+  d.p = p;
+  return d;
+}
+
+// Copies of an object at several priors, and duplicated candidates. A
+// copy with a smaller prior has a smaller bound than the same copy at a
+// lower index, so the first candidate scored is not the one that wins
+// the tie at loss (about) 0.
+TEST_P(KernelEquivalenceTest, Phase3DuplicateAndObjectEqualCandidates) {
+  const std::vector<Dcf> objects = MixedInputs();
+  std::mt19937 rng(41);
+  std::vector<Dcf> reps;
+  const size_t copied[] = {0, 5, 17, 30, 47};
+  for (size_t i : copied) {
+    reps.push_back(WithPrior(objects[i], objects[i].p * 8));
+  }
+  for (int r = 0; r < 6; ++r) {
+    reps.push_back(RandomDcf(rng, 12, 160, 0.05));
+    reps.push_back(reps.back());
+  }
+  for (size_t i : copied) {
+    reps.push_back(WithPrior(objects[i], objects[i].p / 8));
+    reps.push_back(objects[i]);
+    reps.push_back(objects[i]);
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+  // The copies alone: every object that has one ties at loss 0 several
+  // times over.
+  std::vector<Dcf> copies;
+  for (size_t i : copied) {
+    copies.push_back(WithPrior(objects[i], objects[i].p * 1e3));
+    copies.push_back(WithPrior(objects[i], objects[i].p / 1e3));
+  }
+  ExpectPhase3MatchesReference(objects, copies, GetParam());
+}
+
+// Ties at loss 0 that only the bound's absolute slack keeps: each object
+// carries an extra mass of 1e-15 that candidate 2i lacks, so that
+// candidate's bound is about 1e-15·A > 0, while candidate 2i + 1, an
+// exact copy of the object, has bound 0 and is scored first. At a
+// candidate prior of p_o/1000 both losses round to 0, and then the lower
+// index must win.
+TEST_P(KernelEquivalenceTest, Phase3TiesAtZeroAgainstATinyPrivateMass) {
+  const std::vector<Dcf> plain = MixedInputs();
+  std::vector<Dcf> objects;
+  std::vector<Dcf> reps;
+  for (size_t i = 0; i < plain.size(); ++i) {
+    std::vector<SparseDistribution::Entry> entries = plain[i].cond.entries();
+    entries.push_back({static_cast<uint32_t>(1000 + i), 1e-15});
+    Dcf object{plain[i].p, SparseDistribution::FromNormalizedPairs(entries),
+               {}};
+    reps.push_back(WithPrior(plain[i], plain[i].p / 1000));
+    reps.push_back(WithPrior(object, plain[i].p / 1000));
+    objects.push_back(std::move(object));
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+}
+
+// Zero-prior and empty candidates score 0 against every object; zero-prior
+// and empty objects score 0 against every candidate.
+TEST_P(KernelEquivalenceTest, Phase3ZeroPriorAndEmptySides) {
+  std::vector<Dcf> objects = MixedInputs();
+  std::mt19937 rng(43);
+  std::vector<Dcf> reps;
+  for (int r = 0; r < 8; ++r) reps.push_back(RandomDcf(rng, 16, 160, 0.1));
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+  objects.push_back(WithPrior(objects[3], 0.0));
+  objects.push_back(Dcf{0.02, SparseDistribution{}, {}});
+  objects.push_back(Dcf{0.0, SparseDistribution{}, {}});
+  reps.push_back(WithPrior(RandomDcf(rng, 16, 160, 0.0), 0.0));
+  reps.push_back(Dcf{0.1, SparseDistribution{}, {}});
+  reps.push_back(Dcf{0.0, SparseDistribution{}, {}});
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+  std::rotate(reps.begin(), reps.end() - 3, reps.end());
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+}
+
+// Rows whose masses sum to 1 ± 1e-9: the bound must not lean on exact
+// normalization, on either side.
+TEST_P(KernelEquivalenceTest, Phase3RowsOffNormalByOneInABillion) {
+  std::vector<Dcf> objects = MixedInputs();
+  std::mt19937 rng(47);
+  std::vector<Dcf> reps;
+  for (int r = 0; r < 12; ++r) {
+    Dcf d = RandomDcf(rng, 4 + 3 * r, 160, 0.08);
+    d.cond = Scaled(d.cond, r % 2 == 0 ? 1.0 + 1e-9 : 1.0 - 1e-9);
+    reps.push_back(std::move(d));
+  }
+  for (size_t i = 0; i < objects.size(); i += 3) {
+    reps.push_back(objects[i]);
+    reps.back().cond = Scaled(objects[i].cond, 1.0 + 1e-9);
+    objects[i].cond = Scaled(objects[i].cond, 1.0 - 1e-9);
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+}
+
+// p_o >> p_c and p_o << p_c: priors up to seventeen orders of magnitude
+// apart, with near-copies of the objects among the candidates. Past a
+// ratio of about 1e13 the kernel's rounding in a large candidate's δI
+// outgrows the bound's mass and relative slack, and a loss that rounds
+// to 0 can win the full scan.
+TEST_P(KernelEquivalenceTest, Phase3ExtremePriorRatios) {
+  std::mt19937 rng(53);
+  std::vector<Dcf> shapes;
+  for (int r = 0; r < 6; ++r) shapes.push_back(RandomDcf(rng, 10, 40, 1.0));
+  const double priors[] = {1e-9, 1e-6, 1e-3, 0.5, 1.0};
+  std::vector<Dcf> reps;
+  for (double p : priors) {
+    for (const Dcf& s : shapes) reps.push_back(WithPrior(s, p));
+  }
+  std::vector<Dcf> objects;
+  for (double p : {1e-17, 1e-15, 1e-13, 1e-9, 1e-4, 0.9}) {
+    for (int i = 0; i < 20; ++i) objects.push_back(RandomDcf(rng, 6, 40, p));
+    for (const Dcf& s : shapes) objects.push_back(WithPrior(s, p));
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+}
+
+// Ids past the kernel's dense-scatter cap (1 << 22), and object ids past
+// every candidate's: the latter are unshared and count against the object.
+TEST_P(KernelEquivalenceTest, Phase3HugeIdsAndObjectIdsPastTheCandidates) {
+  const uint32_t kPastDenseCap = (1u << 22) + 17;
+  std::vector<Dcf> objects = MixedInputs();
+  std::mt19937 rng(59);
+  std::vector<Dcf> reps;
+  for (int r = 0; r < 10; ++r) {
+    Dcf d = RandomDcf(rng, 20, 160, 0.1);
+    d.cond = Shifted(d.cond, r % 2 == 0 ? kPastDenseCap : 0);
+    reps.push_back(std::move(d));
+  }
+  for (size_t i = 0; i < objects.size(); ++i) {
+    if (i % 2 == 0) objects[i].cond = Shifted(objects[i].cond, kPastDenseCap);
+    if (i % 3 == 0) {
+      std::vector<SparseDistribution::Entry> e = objects[i].cond.entries();
+      e.push_back({UINT32_MAX - 1, 0.5});
+      objects[i].cond = SparseDistribution::FromPairs(std::move(e));
+    }
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, Phase3OneCandidateAndThreeThousand) {
+  const std::vector<Dcf> objects = MixedInputs(120);
+  std::mt19937 rng(61);
+  ExpectPhase3MatchesReference(objects, {RandomDcf(rng, 8, 160, 0.3)},
+                               GetParam());
+  std::uniform_int_distribution<size_t> sd(1, 30);
+  std::uniform_real_distribution<double> pd(1e-5, 1e-2);
+  std::vector<Dcf> reps;
+  for (int r = 0; r < 3000; ++r) {
+    if (r % 50 == 49) {
+      reps.push_back(reps[r / 2]);
+    } else {
+      reps.push_back(RandomDcf(rng, sd(rng), 160, pd(rng)));
+    }
+  }
+  ExpectPhase3MatchesReference(objects, reps, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelEquivalenceTest,

@@ -795,6 +795,10 @@ void ClusteringCases(const ModelBundle& fit, Cases* c) {
           [](ModelBundle& b) { b.representatives[0].p = kNaN; });
   c->Edit("representative mass zero", "representative mass not > 0", fit,
           [](ModelBundle& b) { b.representatives[0].p = 0.0; });
+  c->Edit("representative with empty support",
+          "representative with empty support", fit, [](ModelBundle& b) {
+            b.representatives[1].cond = core::SparseDistribution{};
+          });
   // Offsets follow the n priors; the entry slab follows the n+1 offsets.
   const size_t offsets_at = 8 + 8 * n;
   const size_t slab_at = offsets_at + 8 * (n + 1);

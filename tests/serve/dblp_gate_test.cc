@@ -41,10 +41,10 @@ relation::Relation Dblp() {
 
 /// φ_T = 1.0 bounds the Phase-1 leaf count the way the paper runs large
 /// inputs; the fit keeps its refit state (the FitOptions default).
-model::FitOptions GateFitOptions() {
+model::FitOptions GateFitOptions(size_t k = 10, double phi_t = 1.0) {
   model::FitOptions options;
-  options.phi_t = 1.0;
-  options.k = 10;
+  options.phi_t = phi_t;
+  options.k = k;
   return options;
 }
 
@@ -69,11 +69,18 @@ std::vector<std::string> AssignQueries(const relation::Relation& rel) {
 }
 
 // Every fit-time row served through the engine gets its batch label, and
-// the response stream is the same bytes at 1 and 4 worker lanes.
-TEST(DblpServeRefitGate, ServedLabelsEqualBatchAtOneAndFourWorkers) {
+// the response stream is the same bytes at 1 and 4 worker lanes, for
+// k clusters. At k = 64 the nearest-representative search prunes
+// hardest; φ_T = 1.0 leaves only 21 Phase-1 leaves here, so that case
+// fits at φ_T = 0.5 (about 200 leaves).
+class DblpServeRefitGate : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DblpServeRefitGate, ServedLabelsEqualBatchAtOneAndFourWorkers) {
   const relation::Relation rel = Dblp();
-  auto bundle = model::FitModel(rel, GateFitOptions());
+  const size_t k = GetParam();
+  auto bundle = model::FitModel(rel, GateFitOptions(k, k > 21 ? 0.5 : 1.0));
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_EQ(bundle->representatives.size(), k);
   const std::vector<uint32_t> batch = bundle->assignments;
   ASSERT_EQ(batch.size(), rel.NumTuples());
   auto engine = Engine::FromBundle(std::move(bundle).value(), {});
@@ -103,6 +110,11 @@ TEST(DblpServeRefitGate, ServedLabelsEqualBatchAtOneAndFourWorkers) {
   }
   EXPECT_EQ(replay(4), serial);
 }
+
+INSTANTIATE_TEST_SUITE_P(K, DblpServeRefitGate, ::testing::Values(10, 64),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::to_string(info.param);
+                         });
 
 // Refitting fit-time rows takes the no-drift patch: the rows go into the
 // frozen Phase-1 tree and nothing reruns AIB, so the patch beats the full
