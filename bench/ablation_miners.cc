@@ -2,8 +2,8 @@
 // comparisons; TANE pays per-lattice-node partition products. The paper
 // uses FDEP on its 90-tuple relation and notes "other methods could also
 // be used" — this driver shows where each miner wins on synthetic data
-// with planted FDs, justifying the library's auto-selection rule
-// (FDEP <= 2000 tuples < TANE).
+// with planted FDs. Production mines with TANE at every size: FDEP's
+// small-input lead is milliseconds, and one miner keeps one FD semantics.
 
 #include <chrono>
 #include <functional>
@@ -80,7 +80,8 @@ int main() {
   }
   std::printf(
       "\nShape check: FDEP wins on small relations; its O(n^2) pair scan "
-      "loses to TANE's partition-based levelwise search as n grows — the "
-      "crossover motivates the library's automatic miner selection.\n");
+      "loses to TANE's partition-based levelwise search as n grows. The "
+      "small-input lead is milliseconds, so the library mines with TANE "
+      "at every size.\n");
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "fd/min_cover.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -83,6 +84,19 @@ util::Result<std::vector<RankedFd>> RankFds(
     return a.fd.rhs.bits() < b.fd.rhs.bits();
   });
   return out;
+}
+
+util::Result<std::vector<RankedFd>> RankCover(
+    const std::vector<fd::FunctionalDependency>& fds,
+    const AttributeGroupingResult* grouping, const FdRankOptions& options) {
+  const auto cover = fd::MinimumCover(fds, /*merge_same_lhs=*/false);
+  if (grouping != nullptr) return RankFds(cover, *grouping, options);
+  std::vector<RankedFd> ranked;
+  ranked.reserve(cover.size());
+  for (const fd::FunctionalDependency& f : cover) {
+    ranked.push_back({f, 0.0, false});
+  }
+  return ranked;
 }
 
 }  // namespace limbo::core

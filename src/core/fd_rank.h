@@ -39,6 +39,14 @@ util::Result<std::vector<RankedFd>> RankFds(
     const AttributeGroupingResult& grouping,
     const FdRankOptions& options = FdRankOptions());
 
+/// The ranked cover of mined FDs: their minimum cover (one RHS attribute
+/// each), ranked by RankFds against `grouping`, or, when there is no
+/// attribute dendrogram (`grouping` null), each cover FD at rank 0,
+/// unanchored, in cover order.
+util::Result<std::vector<RankedFd>> RankCover(
+    const std::vector<fd::FunctionalDependency>& fds,
+    const AttributeGroupingResult* grouping, const FdRankOptions& options);
+
 }  // namespace limbo::core
 
 #endif  // LIMBO_CORE_FD_RANK_H_

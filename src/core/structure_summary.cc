@@ -5,7 +5,6 @@
 #include "core/limbo.h"
 #include "core/measures.h"
 #include "obs/trace.h"
-#include "fd/min_cover.h"
 #include "fd/tane.h"
 #include "util/strings.h"
 
@@ -64,21 +63,15 @@ util::Result<StructureSummary> SummarizeStructure(
   std::vector<fd::FunctionalDependency> fds;
   {
     LIMBO_OBS_SPAN(mine_span, "fd_mining");
-    LIMBO_ASSIGN_OR_RETURN(
-        fds, fd::MineMinimalFds(rel, options.large_relation_threshold));
+    LIMBO_ASSIGN_OR_RETURN(fds, fd::Tane::Mine(rel));
   }
   summary.num_fds = fds.size();
-  const auto cover = fd::MinimumCover(fds, /*merge_same_lhs=*/false);
-  if (summary.has_grouping) {
-    FdRankOptions rank_options;
-    rank_options.psi = options.psi;
-    LIMBO_ASSIGN_OR_RETURN(summary.ranked_cover,
-                           RankFds(cover, summary.grouping, rank_options));
-  } else {
-    for (const auto& f : cover) {
-      summary.ranked_cover.push_back({f, 0.0, false});
-    }
-  }
+  FdRankOptions rank_options;
+  rank_options.psi = options.psi;
+  LIMBO_ASSIGN_OR_RETURN(
+      summary.ranked_cover,
+      RankCover(fds, summary.has_grouping ? &summary.grouping : nullptr,
+                rank_options));
   return summary;
 }
 

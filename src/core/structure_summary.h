@@ -8,7 +8,6 @@
 #include "core/fd_rank.h"
 #include "core/tuple_clustering.h"
 #include "core/value_clustering.h"
-#include "fd/tane.h"
 #include "relation/stats.h"
 #include "util/result.h"
 
@@ -22,11 +21,10 @@ struct StructureSummaryOptions {
   double phi_v = 0.0;
   /// FD-RANK threshold.
   double psi = 0.5;
-  /// Above this tuple count, FDs are mined with TANE instead of FDEP and
-  /// Double Clustering is used for the value stage.
-  size_t large_relation_threshold = fd::kFdepMaxTuples;
+  /// Above this tuple count, the value stage uses Double Clustering.
+  static constexpr size_t large_relation_threshold = 2000;
   /// φ_T for the Double-Clustering tuple summaries on large relations.
-  double phi_t_double_clustering = 0.5;
+  static constexpr double phi_t_double_clustering = 0.5;
 };
 
 /// Everything the paper's tools derive from one relation — the compact
@@ -47,7 +45,8 @@ struct StructureSummary {
 
 /// Runs profiling, duplicate-tuple detection, value clustering (with
 /// Double Clustering on large inputs), attribute grouping, FD discovery
-/// (FDEP or TANE by size), minimum cover and FD-RANK.
+/// (TANE at min_lhs = 0, so a constant column C yields ∅ → C at any size),
+/// minimum cover and FD-RANK.
 util::Result<StructureSummary> SummarizeStructure(
     const relation::Relation& rel,
     const StructureSummaryOptions& options = StructureSummaryOptions());

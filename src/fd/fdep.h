@@ -21,8 +21,9 @@ namespace limbo::fd {
 ///    holds and prune the search space").
 ///
 /// Pairwise comparison is O(n^2 m); intended for relations up to a few
-/// thousand tuples (the paper runs it on a 90-tuple relation). Use Tane
-/// (tane.h) for larger inputs — both return the same minimal FD set.
+/// thousand tuples (the paper runs it on a 90-tuple relation). Production
+/// mines with Tane (tane.h) at every size; FDEP is the reference it is
+/// checked against — at equal min_lhs both return the same list.
 struct FdepOptions {
   /// Safety valve on the O(n^2) pair scan.
   size_t max_tuples = 20000;

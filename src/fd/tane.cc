@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "fd/fdep.h"
 #include "fd/lattice.h"
 
 namespace limbo::fd {
@@ -26,7 +25,7 @@ util::Result<std::vector<FunctionalDependency>> Tane::Mine(
   below.emplace(AttributeSet(), Below{full, n - 1});
 
   PartitionLattice lattice(rel);
-  for (size_t ell = 1; !lattice.level().empty(); ++ell) {
+  while (!lattice.level().empty()) {
     const std::vector<PartitionLattice::Node>& level = lattice.level();
 
     // --- COMPUTE_DEPENDENCIES ---
@@ -93,21 +92,12 @@ util::Result<std::vector<FunctionalDependency>> Tane::Mine(
       survivors.emplace(x, Below{cx, level[i].partition.Rank()});
     }
 
-    if (options.max_lhs != 0 && ell >= options.max_lhs) break;
     below = std::move(survivors);
     lattice.Advance();
   }
 
   SortCanonically(&fds);
   return fds;
-}
-
-util::Result<std::vector<FunctionalDependency>> MineMinimalFds(
-    const relation::Relation& rel, size_t fdep_max_tuples) {
-  if (rel.NumTuples() <= fdep_max_tuples) return Fdep::Mine(rel);
-  TaneOptions options;
-  options.min_lhs = 1;
-  return Tane::Mine(rel, options);
 }
 
 }  // namespace limbo::fd

@@ -11,7 +11,6 @@
 #include "core/limbo.h"
 #include "core/value_clustering.h"
 #include "fd/closure.h"
-#include "fd/min_cover.h"
 #include "fd/tane.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -152,7 +151,7 @@ util::Status RefreshDerivedStructure(const ModelBundle& parent,
     }
   }
   LIMBO_ASSIGN_OR_RETURN(const std::vector<fd::FunctionalDependency> mined,
-                         fd::MineMinimalFds(absorbed));
+                         fd::Tane::Mine(absorbed));
   std::vector<fd::FunctionalDependency> kept;
   auto push_unique = [&kept](const fd::FunctionalDependency& f) {
     for (const fd::FunctionalDependency& k : kept) {
@@ -167,18 +166,12 @@ util::Status RefreshDerivedStructure(const ModelBundle& parent,
     if (fd::Implies(parent_fds, f)) push_unique(f);
   }
   child->num_fds = kept.size();
-  const auto cover = fd::MinimumCover(kept, /*merge_same_lhs=*/false);
-  child->ranked_fds.clear();
-  if (child->has_grouping) {
-    core::FdRankOptions rank_options;
-    rank_options.psi = parent.psi;
-    LIMBO_ASSIGN_OR_RETURN(child->ranked_fds,
-                           core::RankFds(cover, grouping, rank_options));
-  } else {
-    for (const fd::FunctionalDependency& f : cover) {
-      child->ranked_fds.push_back({f, 0.0, false});
-    }
-  }
+  core::FdRankOptions rank_options;
+  rank_options.psi = parent.psi;
+  LIMBO_ASSIGN_OR_RETURN(
+      child->ranked_fds,
+      core::RankCover(kept, child->has_grouping ? &grouping : nullptr,
+                      rank_options));
   LIMBO_OBS_COUNT("refit.structure_refreshes", 1);
   return util::Status::Ok();
 }

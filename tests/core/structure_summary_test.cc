@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datagen/db2_sample.h"
+#include "datagen/dblp.h"
 #include "datagen/error_inject.h"
+#include "fd/fdep.h"
+#include "fd/tane.h"
 #include "testing/make_relation.h"
 
 namespace limbo::core {
@@ -66,6 +72,53 @@ TEST(StructureSummaryTest, EmptyRelationFails) {
   ASSERT_TRUE(schema.ok());
   relation::RelationBuilder builder(std::move(schema).value());
   EXPECT_FALSE(SummarizeStructure(std::move(builder).Build(), {}).ok());
+}
+
+/// DBLP rows tiled up to `n` tuples, plus a constant last column C.
+relation::Relation TiledDblpWithConstantColumn(size_t n) {
+  datagen::DblpOptions gen;
+  gen.target_tuples = 500;
+  const relation::Relation base = datagen::GenerateDblp(gen);
+  std::vector<std::string> header = base.schema().Names();
+  header.push_back("C");
+  std::vector<std::vector<std::string>> rows;
+  for (size_t t = 0; t < n; ++t) {
+    const auto tuple = static_cast<relation::TupleId>(t % base.NumTuples());
+    std::vector<std::string> row;
+    for (size_t a = 0; a < base.NumAttributes(); ++a) {
+      row.push_back(base.TextAt(tuple, static_cast<relation::AttributeId>(a)));
+    }
+    row.push_back("k");
+    rows.push_back(std::move(row));
+  }
+  return MakeRelation(std::move(header), rows);
+}
+
+TEST(StructureSummaryTest, ConstantColumnIsEmptyLhsFdAtEverySize) {
+  // An FD's meaning does not depend on the relation's size: either side of
+  // the 2,000-tuple Double-Clustering threshold, a constant column C is
+  // reported as ∅ → C (not [B] → C for every other B), and TANE returns
+  // FDEP's list.
+  for (size_t n : {size_t{1999}, size_t{2001}}) {
+    SCOPED_TRACE(n);
+    const relation::Relation rel = TiledDblpWithConstantColumn(n);
+    const auto c = static_cast<relation::AttributeId>(rel.NumAttributes() - 1);
+    auto tane = fd::Tane::Mine(rel);
+    auto fdep = fd::Fdep::Mine(rel);
+    ASSERT_TRUE(tane.ok());
+    ASSERT_TRUE(fdep.ok());
+    EXPECT_TRUE(*tane == *fdep);
+
+    auto summary = SummarizeStructure(rel, {});
+    ASSERT_TRUE(summary.ok());
+    bool empty_lhs = false;
+    for (const RankedFd& r : summary->ranked_cover) {
+      EXPECT_FALSE(r.fd.rhs.Contains(c) && !r.fd.lhs.Empty())
+          << r.fd.ToString(rel.schema());
+      empty_lhs = empty_lhs || (r.fd.lhs.Empty() && r.fd.rhs.Contains(c));
+    }
+    EXPECT_TRUE(empty_lhs);
+  }
 }
 
 }  // namespace

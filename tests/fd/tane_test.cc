@@ -82,19 +82,6 @@ TEST(TaneTest, CompositeKeyNeedsLevelTwo) {
   EXPECT_FALSE(Contains(*fds, Fd({1}, {2})));
 }
 
-TEST(TaneTest, MaxLhsTruncatesSearch) {
-  const auto rel = MakeRelation({"A", "B", "C"},
-                                {{"1", "x", "p"},
-                                 {"1", "y", "q"},
-                                 {"2", "x", "r"},
-                                 {"2", "y", "s"}});
-  TaneOptions options;
-  options.max_lhs = 1;
-  auto fds = Tane::Mine(rel, options);
-  ASSERT_TRUE(fds.ok());
-  EXPECT_FALSE(Contains(*fds, Fd({0, 1}, {2})));
-}
-
 TEST(TaneTest, EmptyRelation) {
   auto schema = relation::Schema::Create({"A"});
   ASSERT_TRUE(schema.ok());

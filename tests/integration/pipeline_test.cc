@@ -128,14 +128,13 @@ TEST(DblpPipelineTest, ConferenceClusterHasMaxRedundancyNullFds) {
 }
 
 TEST(DblpPipelineTest, StructureSummaryLargePath) {
-  // SummarizeStructure switches to TANE + Double Clustering above the
-  // large-relation threshold; the whole pipeline must still run and find
-  // the NULL-block duplicate groups.
+  // SummarizeStructure switches to Double Clustering above the
+  // large-relation threshold (2,000 tuples); the whole pipeline must still
+  // run and find the NULL-block duplicate groups.
   datagen::DblpOptions gen;
   gen.target_tuples = 3000;
   const relation::Relation full = datagen::GenerateDblp(gen);
   core::StructureSummaryOptions options;
-  options.large_relation_threshold = 2000;  // force the large path
   options.phi_v = 1.0;
   auto summary = core::SummarizeStructure(full, options);
   ASSERT_TRUE(summary.ok());

@@ -90,7 +90,9 @@ TEST(AprioriTest, SupportsAreDownwardClosed) {
         if (i != drop) subset.push_back(s.items[i]);
       }
       for (const Itemset& sub : *result) {
-        if (sub.items == subset) EXPECT_GE(sub.support, s.support);
+        if (sub.items == subset) {
+          EXPECT_GE(sub.support, s.support);
+        }
       }
     }
   }

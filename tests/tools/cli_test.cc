@@ -104,6 +104,21 @@ TEST(CliTest, FdsWithMinCover) {
   EXPECT_NE(r.output.find("->"), std::string::npos);
 }
 
+TEST(CliTest, FdsReportsAConstantColumnAsEmptyLhsPastTwoThousandRows) {
+  // A constant column C is ∅ → C at any size, including past the
+  // 2,000-row Double-Clustering threshold (not [A]->[C] and [B]->[C]).
+  const std::string csv = ::testing::TempDir() + "/limbo_cli_const." +
+                          std::to_string(getpid()) + ".csv";
+  FILE* f = std::fopen(csv.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("A,B,C\n", f);
+  for (int i = 0; i < 2001; ++i) std::fprintf(f, "%d,%d,k\n", i, i % 7);
+  std::fclose(f);
+  const RunResult r = RunTool("fds " + csv);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output, "# 2 minimal FDs:\n[]->[C]\n[A]->[B]\n");
+}
+
 TEST(CliTest, ApproxFds) {
   const RunResult r = RunTool("approx-fds " + TempCsv() +
                           " --epsilon=0.05 --max-lhs=1");
@@ -193,11 +208,28 @@ TEST(CliTest, SummaryRunsWholePipeline) {
 }
 
 TEST(CliTest, UnknownFlagIsRejected) {
-  const RunResult r = RunTool("summary " + TempCsv() + " --no-such-flag");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("unknown flag --no-such-flag"), std::string::npos);
+  struct Case {
+    std::string args;
+    std::string flag;
+  };
+  const std::string csv = TempCsv();
+  const std::vector<Case> cases = {
+      {"summary " + csv + " --no-such-flag", "--no-such-flag"},
+      // fds has one miner, TANE, and no flag to pick another.
+      {"fds " + csv + " --miner=tane", "--miner"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    const std::string command = c.args.substr(0, c.args.find(' '));
+    const RunResult r = RunTool(c.args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("limbo-tool " + command + ": unknown flag " +
+                            c.flag),
+              std::string::npos)
+        << r.output;
+  }
   // A flag valid for one command is still rejected on another.
-  EXPECT_EQ(RunTool("profile " + TempCsv() + " --psi=0.5").exit_code, 2);
+  EXPECT_EQ(RunTool("profile " + csv + " --psi=0.5").exit_code, 2);
 }
 
 std::string ReadFile(const std::string& path) {

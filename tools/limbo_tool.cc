@@ -4,7 +4,7 @@
 //   limbo-tool summary    data.csv [--phi-t=0.1] [--phi-v=0] [--psi=0.5]
 //   limbo-tool duplicates data.csv [--phi-t=0.1]
 //   limbo-tool values     data.csv [--phi-v=0]
-//   limbo-tool fds        data.csv [--miner=auto|fdep|tane] [--min-cover]
+//   limbo-tool fds        data.csv [--min-cover]
 //   limbo-tool approx-fds data.csv [--epsilon=0.05] [--max-lhs=3]
 //   limbo-tool mvds       data.csv [--max-lhs=2]
 //   limbo-tool keys       data.csv [--max-size=4]
@@ -174,7 +174,7 @@ int ValidateFlags(const Args& args) {
       {"summary", {"phi-t", "phi-v", "psi"}},
       {"duplicates", {"phi-t"}},
       {"values", {"phi-v"}},
-      {"fds", {"miner", "min-cover"}},
+      {"fds", {"min-cover"}},
       {"approx-fds", {"epsilon", "max-lhs"}},
       {"mvds", {"max-lhs"}},
       {"keys", {"max-size"}},
@@ -365,12 +365,7 @@ int CmdValues(const relation::Relation& rel, const Args& args) {
 }
 
 int CmdFds(const relation::Relation& rel, const Args& args) {
-  // fdep and auto aside, any --miner value means TANE.
-  const std::string miner = args.GetString("miner", "auto");
-  const size_t fdep_max_tuples = miner == "fdep"   ? SIZE_MAX
-                                 : miner == "auto" ? fd::kFdepMaxTuples
-                                                   : 0;
-  auto fds = fd::MineMinimalFds(rel, fdep_max_tuples);
+  auto fds = fd::Tane::Mine(rel);
   if (!fds.ok()) {
     std::fprintf(stderr, "%s\n", fds.status().ToString().c_str());
     return 1;
