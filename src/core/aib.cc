@@ -56,7 +56,6 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   LIMBO_OBS_SPAN(aib_span, "aib");
   util::ThreadPool pool(options.threads);
   AibStats stats;
-  stats.threads = pool.threads();
   // Chunk size for the row-indexed scans below; small enough that the
   // round-robin chunk->lane mapping balances the triangular initial build.
   constexpr size_t kGrain = 16;
@@ -240,7 +239,6 @@ util::Result<AibResult> AgglomerativeIb(const std::vector<Dcf>& inputs,
   LIMBO_OBS_COUNT("aib.merges", result.merges().size());
   LIMBO_OBS_COUNT("aib.distance_evals", stats.distance_evals);
   FlushKernelStats(kernels, "aib.kernel");
-  stats.seconds = aib_span.Stop();
   result.set_stats(stats);
   return result;
 }

@@ -30,10 +30,6 @@ struct Merge {
 struct AibStats {
   /// Number of InformationLoss evaluations (initial matrix + refreshes).
   uint64_t distance_evals = 0;
-  /// Wall-clock seconds of the whole run.
-  double seconds = 0.0;
-  /// Resolved lane count the run executed with.
-  size_t threads = 1;
 };
 
 /// Result of a (full or partial) agglomerative IB run.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/dcf.h"
+#include "obs/counters.h"
 #include "relation/row_source.h"
 #include "relation/source_stats.h"
 #include "util/result.h"
@@ -32,11 +33,6 @@ class DcfStream {
 
   /// Rewinds to the first object.
   virtual util::Status Reset() = 0;
-
-  /// True when pulling a chunk does real decode work against an external
-  /// source (so scan counts are worth reporting); false for the zero-copy
-  /// in-memory adapter.
-  virtual bool IsStreaming() const { return true; }
 };
 
 /// Objects per chunk when a scan is asked for chunk size 0.
@@ -45,7 +41,10 @@ inline constexpr size_t kDefaultStreamChunk = 4096;
 /// One full scan of `objects`: `fn(chunk, base)` sees every chunk of at
 /// most `chunk_size` objects (0 = kDefaultStreamChunk) in stream order,
 /// `base` being the stream index of the chunk's first object; then the
-/// stream rewinds so the next scan starts at object 0.
+/// stream rewinds so the next scan starts at object 0. This is the only
+/// full pass over a DcfStream: each one that reaches the end of the
+/// stream adds 1 to the work counter `dcf_stream.scans`, streamed or
+/// materialized, at every chunk size.
 template <typename Fn>
 util::Status ScanChunks(DcfStream& objects, size_t chunk_size, Fn&& fn) {
   if (chunk_size == 0) chunk_size = kDefaultStreamChunk;
@@ -57,6 +56,7 @@ util::Status ScanChunks(DcfStream& objects, size_t chunk_size, Fn&& fn) {
     fn(chunk, base);
     base += chunk.size();
   }
+  LIMBO_OBS_COUNT("dcf_stream.scans", 1);
   return objects.Reset();
 }
 
@@ -75,7 +75,6 @@ class VectorDcfStream final : public DcfStream {
     next_ = 0;
     return util::Status::Ok();
   }
-  bool IsStreaming() const override { return false; }
 
  private:
   std::span<const Dcf> objects_;

@@ -31,7 +31,6 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
   HorizontalPartitionResult result;
   result.mutual_information = limbo.mutual_information;
   result.num_leaves = limbo.leaves.size();
-  result.timings = limbo.timings;
 
   // I(C_leaves; V): information still present after Phase 1.
   WeightedRows leaf_rows;
@@ -92,10 +91,8 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
   chosen = std::min(chosen, q);
   result.chosen_k = chosen;
 
-  // Phase 2 representatives at the chosen k + Phase 3 assignment re-scan.
-  // RunLimboStreamed above ran with k = 0 (Phase 3 skipped), so the copied
-  // timings carried phase3_ran = false with zeroed fields; time the manual
-  // Phase 3 here so the reported record reflects what actually executed.
+  // Phase 2 representatives at the chosen k + Phase 3 assignment re-scan
+  // (RunLimboStreamed above ran with k = 0, which skips Phase 3).
   {
     LIMBO_OBS_SPAN(phase3_span, "phase3");
     LIMBO_ASSIGN_OR_RETURN(std::vector<Dcf> reps,
@@ -105,11 +102,6 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
     LIMBO_RETURN_IF_ERROR(assigner.AssignStream(
         objects, options.stream_chunk, result.assignments.data(), nullptr));
     assigner.Flush();
-    ++result.timings.phase3_source_rescans;
-    result.timings.phase3_seconds = phase3_span.Stop();
-    result.timings.phase3_distance_evals =
-        static_cast<uint64_t>(n) * reps.size();
-    result.timings.phase3_ran = true;
   }
 
   // One statistics re-scan: cluster sizes, distinct-value counts (a tuple
@@ -137,7 +129,6 @@ util::Result<HorizontalPartitionResult> HorizontallyPartitionStream(
           }
         }
       }));
-  ++result.timings.phase3_source_rescans;
   result.cluster_value_counts.resize(chosen);
   for (size_t c = 0; c < chosen; ++c) {
     result.cluster_value_counts[c] = values[c].size();

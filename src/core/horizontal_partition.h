@@ -65,8 +65,6 @@ struct HorizontalPartitionResult {
   double info_loss_vs_leaves = 0.0;
   double mutual_information = 0.0;
   size_t num_leaves = 0;
-  /// Per-phase wall time of the underlying LIMBO run.
-  PhaseTimings timings;
 };
 
 /// Horizontal partitioning (Section 6.1.2): full LIMBO clustering of the

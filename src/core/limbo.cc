@@ -29,11 +29,9 @@ Phase1Builder::Phase1Builder(const FrozenDcfTree& frozen)
     : tree_(DcfTree::Restore(frozen)) {}
 
 std::vector<Dcf> LimboPhase1(const std::vector<Dcf>& objects,
-                             const LimboOptions& options, double threshold,
-                             DcfTree::Stats* stats) {
+                             const LimboOptions& options, double threshold) {
   Phase1Builder builder(options, threshold);
   for (const Dcf& object : objects) builder.Insert(object);
-  if (stats != nullptr) *stats = builder.stats();
   return builder.Leaves();
 }
 
@@ -146,15 +144,12 @@ util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
   }
 
   LimboResult result;
-  result.timings.streamed = objects.IsStreaming();
   LIMBO_OBS_SPAN(limbo_span, "limbo");
   {
     LIMBO_OBS_SPAN(phase1_span, "phase1");
     LIMBO_ASSIGN_OR_RETURN(static_cast<Phase1Summary&>(result),
                            SummarizePhase1(objects, options));
-    result.timings.phase1_seconds = phase1_span.Stop();
   }
-  result.timings.source_scans = 3;  // two for I(V;T), one insert scan
 
   AibOptions aib_options;
   aib_options.threads = options.threads;
@@ -168,9 +163,6 @@ util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
     LIMBO_ASSIGN_OR_RETURN(result.aib,
                            AgglomerativeIb(result.leaves, aib_options));
   }
-  result.timings.phase2_seconds = result.aib.stats().seconds;
-  result.timings.phase2_distance_evals = result.aib.stats().distance_evals;
-  result.timings.threads = result.aib.stats().threads;
 
   if (options.k > 0) {
     const size_t k = aib_options.min_k;  // clipped to leaf count
@@ -185,11 +177,6 @@ util::Result<LimboResult> RunLimboStreamed(DcfStream& objects,
                               result.assignments.data(),
                               result.assignment_loss.data()));
     assigner.Flush();
-    ++result.timings.phase3_source_rescans;
-    result.timings.phase3_seconds = phase3_span.Stop();
-    result.timings.phase3_distance_evals =
-        static_cast<uint64_t>(n) * result.representatives.size();
-    result.timings.phase3_ran = true;
   }
   return result;
 }

@@ -46,42 +46,6 @@ struct LimboOptions {
   bool freeze_tree = false;
 };
 
-/// Wall-time and work counters of one RunLimbo invocation. Since the obs
-/// layer landed this is a convenience view assembled from the "limbo" /
-/// "phase1..3" trace spans and the structural eval counts; the full
-/// picture (kernel counters, NN-cache hit rates, per-span hierarchy)
-/// lives in the obs registry (obs/trace.h, obs/counters.h). Wall times
-/// read 0.0 when the obs layer is disabled (LIMBO_OBS=0).
-struct PhaseTimings {
-  /// Phase-1 (I(V;T) scans and DCF tree build) wall-time, seconds.
-  double phase1_seconds = 0.0;
-  /// Phase-2 (AIB over the leaves) wall-time, seconds.
-  double phase2_seconds = 0.0;
-  /// Phase-3 (re-assignment scan) wall-time, seconds.
-  double phase3_seconds = 0.0;
-  /// InformationLoss evaluations in Phase 2 (matrix build + refreshes).
-  uint64_t phase2_distance_evals = 0;
-  /// InformationLoss evaluations in Phase 3 (objects × representatives).
-  uint64_t phase3_distance_evals = 0;
-  /// Resolved worker-lane count the run executed with.
-  size_t threads = 1;
-  /// Whether Phase 3 executed at all (k = 0 skips it). Reporting paths
-  /// must not print the phase3_* fields when this is false — they are
-  /// not timings, just zero-initialized members.
-  bool phase3_ran = false;
-  /// Whether the run pulled objects from an external source (a streamed
-  /// RunLimboStreamed run) rather than a materialized vector. The scan
-  /// counters below are only meaningful — and only printed — when true.
-  bool streamed = false;
-  /// Full scans of the source up to and including Phase 1: two for
-  /// I(V;T), one for the DCF-tree build.
-  uint64_t source_scans = 0;
-  /// Re-scans of the source by the Phase-3 assignment pass. Zero when
-  /// Phase 3 was skipped (k = 0) — reporting paths must gate this field
-  /// on phase3_ran, exactly like the phase3_* timings.
-  uint64_t phase3_source_rescans = 0;
-};
-
 /// What Phase 1 makes of an object stream (SummarizePhase1).
 struct Phase1Summary {
   /// Mutual information I(V;T) of the input objects (bits).
@@ -113,8 +77,6 @@ struct LimboResult : Phase1Summary {
   std::vector<uint32_t> assignments;
   /// Phase-3 information loss of each object's assignment.
   std::vector<double> assignment_loss;
-  /// Per-phase wall-time and distance-evaluation counters.
-  PhaseTimings timings;
 };
 
 /// Incremental Phase 1: insert objects one at a time — from a stream or a
@@ -192,8 +154,7 @@ util::Result<Phase1Summary> SummarizePhase1(DcfStream& objects,
 /// absolute merge `threshold` and returns the leaf summaries. Thin
 /// adapter over Phase1Builder.
 std::vector<Dcf> LimboPhase1(const std::vector<Dcf>& objects,
-                             const LimboOptions& options, double threshold,
-                             DcfTree::Stats* stats = nullptr);
+                             const LimboOptions& options, double threshold);
 
 /// Phase 3 only: assigns each object to the representative with minimal
 /// information loss. Returns labels; per-object losses go to `loss` if

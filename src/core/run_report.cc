@@ -21,30 +21,6 @@ obs::ReportSection TrajectorySection(const std::vector<Merge>& merges,
   return section;
 }
 
-obs::ReportSection TimingsSection(const PhaseTimings& timings) {
-  obs::ReportSection section("phases");
-  section.AddField("threads", static_cast<uint64_t>(timings.threads));
-  section.AddField("phase1_seconds", timings.phase1_seconds);
-  section.AddField("phase2_seconds", timings.phase2_seconds);
-  section.AddField("phase2_distance_evals", timings.phase2_distance_evals);
-  if (timings.phase3_ran) {
-    section.AddField("phase3_seconds", timings.phase3_seconds);
-    section.AddField("phase3_distance_evals", timings.phase3_distance_evals);
-  }
-  // Streamed-run scan accounting. phase3_source_rescans is gated on
-  // phase3_ran exactly like the phase3_* fields above: a k = 0 run never
-  // re-scans the source, so emitting the zero-initialized member would be
-  // the same stale-field bug the phase3_ran flag exists to prevent.
-  if (timings.streamed) {
-    section.AddField("streamed", true);
-    section.AddField("source_scans", timings.source_scans);
-    if (timings.phase3_ran) {
-      section.AddField("phase3_source_rescans", timings.phase3_source_rescans);
-    }
-  }
-  return section;
-}
-
 obs::RunReport AssembleRunReport(std::string title,
                                  std::vector<obs::ReportSection> sections) {
   obs::RunReport report;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/aib.h"
-#include "core/limbo.h"
 #include "obs/report.h"
 
 namespace limbo::core {
@@ -16,10 +15,6 @@ namespace limbo::core {
 /// attribute grouping it is the dendrogram Q with per-merge loss.
 obs::ReportSection TrajectorySection(const std::vector<Merge>& merges,
                                      std::string title = "aib_trajectory");
-
-/// PhaseTimings as a report section. Phase-3 fields appear only when the
-/// phase actually ran (timings.phase3_ran).
-obs::ReportSection TimingsSection(const PhaseTimings& timings);
 
 /// Standard report envelope: the caller's sections first, then the live
 /// obs state ("spans" from the trace tree, "counters" from the registry),

@@ -10,7 +10,8 @@ size_t DefaultThreadCount() {
     if (const char* env = std::getenv("LIMBO_THREADS")) {
       char* end = nullptr;
       const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) {
+      if (end != env && *end == '\0' && v >= 1 &&
+          static_cast<unsigned long>(v) <= kMaxThreads) {
         return static_cast<size_t>(v);
       }
     }

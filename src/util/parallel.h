@@ -10,10 +10,14 @@
 
 namespace limbo::util {
 
+/// The most worker lanes a command line or LIMBO_THREADS may ask for
+/// (limbo-tool --threads, limbo-serve --workers).
+inline constexpr size_t kMaxThreads = 4096;
+
 /// Lane count used when a caller passes threads = 0: the LIMBO_THREADS
-/// environment variable if set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (1 if unknown). Read once and
-/// cached for the process lifetime.
+/// environment variable if set to an integer in [1, kMaxThreads],
+/// otherwise std::thread::hardware_concurrency() (1 if unknown). Read
+/// once and cached for the process lifetime.
 size_t DefaultThreadCount();
 
 /// A small reusable pool of worker threads exposing one primitive,

@@ -175,7 +175,6 @@ TEST_P(AibThreadsTest, BitIdenticalToSerial) {
     EXPECT_EQ(a->merges()[i].cumulative_loss, b->merges()[i].cumulative_loss);
     EXPECT_EQ(a->merges()[i].p_merged, b->merges()[i].p_merged);
   }
-  EXPECT_EQ(b->stats().threads, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, AibThreadsTest, ::testing::Values(1, 4));
@@ -185,8 +184,6 @@ TEST(AibStatsTest, CountsDistanceEvaluations) {
   ASSERT_TRUE(result.ok());
   // Initial matrix: 4*3/2 = 6. Refreshes: 2 + 1 + 0 after each merge.
   EXPECT_EQ(result->stats().distance_evals, 9u);
-  EXPECT_GE(result->stats().threads, 1u);
-  EXPECT_GE(result->stats().seconds, 0.0);
 }
 
 TEST(ClusterDcfsAtKTest, MassConserved) {

@@ -15,11 +15,9 @@
 #include "core/dcf_stream.h"
 #include "core/horizontal_partition.h"
 #include "core/limbo.h"
-#include "core/run_report.h"
 #include "core/tuple_clustering.h"
 #include "datagen/dblp.h"
 #include "obs/counters.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 #include "relation/csv_io.h"
 #include "relation/row_source.h"
@@ -69,10 +67,8 @@ void ExpectSameResult(const LimboResult& streamed,
             materialized.tree_stats.num_inserts);
   EXPECT_EQ(streamed.tree_stats.num_merges, materialized.tree_stats.num_merges);
   EXPECT_EQ(streamed.tree_stats.num_nodes, materialized.tree_stats.num_nodes);
-  EXPECT_EQ(streamed.timings.phase2_distance_evals,
-            materialized.timings.phase2_distance_evals);
-  EXPECT_EQ(streamed.timings.phase3_distance_evals,
-            materialized.timings.phase3_distance_evals);
+  EXPECT_EQ(streamed.aib.stats().distance_evals,
+            materialized.aib.stats().distance_evals);
 }
 
 std::map<std::string, uint64_t> WorkCounters() {
@@ -101,7 +97,8 @@ TEST_P(StreamEquivalenceTest, CsvStreamMatchesMaterializedRun) {
     auto materialized = RunLimbo(objects, options);
     ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
     const auto materialized_work = WorkCounters();
-    EXPECT_FALSE(materialized->timings.streamed);
+    // Two I(V;T) scans, the insert scan and the Phase-3 scan.
+    EXPECT_EQ(materialized_work.at("dcf_stream.scans"), 4u);
 
     // Chunk sizes straddling the row count, including a pathological 1.
     for (size_t chunk : {size_t{1}, size_t{3}, size_t{4096}}) {
@@ -115,11 +112,9 @@ TEST_P(StreamEquivalenceTest, CsvStreamMatchesMaterializedRun) {
       auto streamed = RunLimboStreamed(stream, options);
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       ExpectSameResult(*streamed, *materialized);
-      // Per-chunk counter increments must sum to the materialized totals.
+      // Per-chunk counter increments must sum to the materialized totals,
+      // and the scan count must not depend on the chunk size.
       EXPECT_EQ(WorkCounters(), materialized_work) << "chunk " << chunk;
-      EXPECT_TRUE(streamed->timings.streamed);
-      EXPECT_EQ(streamed->timings.source_scans, 3u);
-      EXPECT_EQ(streamed->timings.phase3_source_rescans, 1u);
     }
   }
 }
@@ -154,8 +149,14 @@ TEST_P(StreamEquivalenceTest, PartitionStreamMatchesMaterialized) {
   options.phi = 0.5;
   options.k = 4;
   options.threads = GetParam();
+  obs::SetEnabled(true);
+  obs::ResetCounters();
   auto materialized = HorizontallyPartition(rel, options);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  const auto materialized_work = WorkCounters();
+  // The k = 0 LIMBO run's three scans, the Phase-3 scan and the
+  // statistics scan.
+  EXPECT_EQ(materialized_work.at("dcf_stream.scans"), 5u);
 
   const std::string csv = relation::ToCsvString(rel);
   auto source = relation::CsvStringSource::Open(csv);
@@ -164,8 +165,10 @@ TEST_P(StreamEquivalenceTest, PartitionStreamMatchesMaterialized) {
   ASSERT_TRUE(stats.ok());
   TupleObjectStream stream(*source, *stats);
   options.stream_chunk = 37;  // force many chunks per scan
+  obs::ResetCounters();
   auto streamed = HorizontallyPartitionStream(stream, options);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(WorkCounters(), materialized_work);
 
   EXPECT_EQ(streamed->chosen_k, materialized->chosen_k);
   EXPECT_EQ(streamed->candidate_ks, materialized->candidate_ks);
@@ -189,10 +192,9 @@ TEST_P(StreamEquivalenceTest, PartitionStreamMatchesMaterialized) {
 INSTANTIATE_TEST_SUITE_P(Lanes, StreamEquivalenceTest,
                          ::testing::Values(1, 4));
 
-TEST(StreamTimingsTest, SkippedPhase3NeverReportsRescans) {
-  // k = 0 skips Phase 3: the streamed run must report zero re-scans and
-  // the report section must omit the counter entirely (satellite: no
-  // stale streamed counters in PhaseTimings reporting).
+TEST(StreamScanCountTest, SkippedPhase3ScansTheSourceThreeTimes) {
+  // k = 0 skips Phase 3: two I(V;T) scans and the insert scan, whether
+  // the objects are streamed or materialized.
   const relation::Relation rel = testing::PaperFigure4();
   const std::string csv = relation::ToCsvString(rel);
   auto source = relation::CsvStringSource::Open(csv);
@@ -203,40 +205,15 @@ TEST(StreamTimingsTest, SkippedPhase3NeverReportsRescans) {
   LimboOptions options;
   options.phi = 0.0;
   options.k = 0;
-  auto result = RunLimboStreamed(stream, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->timings.phase3_ran);
-  EXPECT_TRUE(result->timings.streamed);
-  EXPECT_EQ(result->timings.source_scans, 3u);
-  EXPECT_EQ(result->timings.phase3_source_rescans, 0u);
+  obs::SetEnabled(true);
+  obs::ResetCounters();
+  ASSERT_TRUE(RunLimboStreamed(stream, options).ok());
+  EXPECT_EQ(obs::GetCounter("dcf_stream.scans").Value(), 3u);
+  EXPECT_EQ(obs::GetCounter("phase3.distance_evals").Value(), 0u);
 
-  const obs::ReportSection section = TimingsSection(result->timings);
-  bool has_streamed = false;
-  bool has_scans = false;
-  bool has_rescans = false;
-  for (const auto& [name, value] : section.fields) {
-    has_streamed |= name == "streamed";
-    has_scans |= name == "source_scans";
-    has_rescans |= name == "phase3_source_rescans";
-  }
-  EXPECT_TRUE(has_streamed);
-  EXPECT_TRUE(has_scans);
-  EXPECT_FALSE(has_rescans);
-}
-
-TEST(StreamTimingsTest, MaterializedRunOmitsScanCounters) {
-  const relation::Relation rel = testing::PaperFigure4();
-  LimboOptions options;
-  options.k = 2;
-  auto result = RunLimbo(BuildTupleObjects(rel), options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->timings.streamed);
-  const obs::ReportSection section = TimingsSection(result->timings);
-  for (const auto& [name, value] : section.fields) {
-    EXPECT_NE(name, "streamed");
-    EXPECT_NE(name, "source_scans");
-    EXPECT_NE(name, "phase3_source_rescans");
-  }
+  obs::ResetCounters();
+  ASSERT_TRUE(RunLimbo(BuildTupleObjects(rel), options).ok());
+  EXPECT_EQ(obs::GetCounter("dcf_stream.scans").Value(), 3u);
 }
 
 TEST(StreamStaleStatsTest, RowCountMismatchIsAnError) {

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -275,7 +274,7 @@ TEST(CliTest, RunReportMarkdownByExtension) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   const std::string md = ReadFile(out);
   EXPECT_NE(md.find("# limbo-tool partition"), std::string::npos);
-  EXPECT_NE(md.find("## phases"), std::string::npos);
+  EXPECT_NE(md.find("## spans"), std::string::npos);
   EXPECT_NE(md.find("## choice_of_k"), std::string::npos);
   EXPECT_NE(md.find("## counters"), std::string::npos);
 }
@@ -320,15 +319,6 @@ TEST(CliTest, FitReportStatesPeakRss) {
   EXPECT_GT(std::strtod(json.c_str() + at + key.size(), nullptr), 0.0);
 }
 
-TEST(CliTest, PartitionPrintsPhase3OnlyWhenItRan) {
-  // The partition pipeline always runs its own Phase-3 assignment scan,
-  // so the timings line must include it — and with the phase3_ran guard
-  // in place, its value comes from a real measurement, not a stale zero.
-  const RunResult r = RunTool("partition " + TempCsv() + " --k=2");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("phase3="), std::string::npos);
-}
-
 std::string DblpCsv() {
   static std::string path = [] {
     std::string p = ::testing::TempDir() + "/limbo_cli_dblp." +
@@ -363,20 +353,6 @@ TEST(CliTest, SummariesWriteTheSameBytesWithAndWithoutStream) {
   }
 }
 
-/// Output lines minus the ones that legitimately differ between the
-/// materialized and streamed runs: wall times and the scan counts.
-std::vector<std::string> StableLines(const std::string& output) {
-  std::vector<std::string> lines;
-  std::istringstream in(output);
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("timings", 0) == 0 || line.rfind("streamed:", 0) == 0) {
-      continue;
-    }
-    lines.push_back(line);
-  }
-  return lines;
-}
-
 TEST(CliTest, PartitionPrintsTheSameLinesWithAndWithoutStream) {
   for (const std::string& csv : {TempCsv(), DblpCsv()}) {
     SCOPED_TRACE(csv);
@@ -385,9 +361,46 @@ TEST(CliTest, PartitionPrintsTheSameLinesWithAndWithoutStream) {
         RunTool("partition " + csv + " --k=3 --stream --chunk=37");
     ASSERT_EQ(materialized.exit_code, 0) << materialized.output;
     ASSERT_EQ(streamed.exit_code, 0) << streamed.output;
-    EXPECT_NE(streamed.output.find("streamed:"), std::string::npos);
-    EXPECT_EQ(StableLines(streamed.output), StableLines(materialized.output));
+    EXPECT_EQ(streamed.output, materialized.output);
   }
+}
+
+/// The integer after `"key", ` or `"key": ` in a JSON report, or -1.
+long JsonInteger(const std::string& json, const std::string& key) {
+  for (const char* sep : {"\", ", "\": "}) {
+    const std::string needle = "\"" + key + sep;
+    const size_t at = json.find(needle);
+    if (at != std::string::npos) {
+      return std::strtol(json.c_str() + at + needle.size(), nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST(CliTest, PartitionReportCountsTheSameScansWithAndWithoutStream) {
+  // The k = 0 LIMBO run's three scans, the Phase-3 scan and the
+  // statistics scan, whichever way the rows are read.
+  for (const char* arm : {"", " --stream --chunk=37"}) {
+    SCOPED_TRACE(arm);
+    const std::string out = PidPath("limbo_cli_scans") + ".json";
+    const RunResult r = RunTool("partition " + DblpCsv() +
+                                " --k=3 --report=" + out + arm);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_EQ(JsonInteger(ReadFile(out), "dcf_stream.scans"), 5);
+  }
+}
+
+TEST(CliTest, ReportStatesABoundedLaneCount) {
+  // An out-of-range LIMBO_THREADS counts as unset. profile starts no
+  // worker pool, so no threads are started whatever the value.
+  const std::string out = PidPath("limbo_cli_lanes") + ".json";
+  setenv("LIMBO_THREADS", "1000000", 1);
+  const RunResult r = RunTool("profile " + TempCsv() + " --report=" + out);
+  unsetenv("LIMBO_THREADS");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const long threads = JsonInteger(ReadFile(out), "threads");
+  EXPECT_GE(threads, 1);
+  EXPECT_LE(threads, 4096);
 }
 
 TEST(CliTest, SummariesOnAHeaderOnlyCsvFailsWithATypedError) {
@@ -425,6 +438,8 @@ TEST(CliTest, MalformedNumericFlagsExit2) {
       {"partition " + csv + " --phi=1e999", "--phi"},
       {"partition " + csv + " --max-k=99999999999999999999999", "--max-k"},
       {"partition " + csv + " --threads=lots", "--threads"},
+      {"partition " + csv + " --threads=4097", "--threads"},
+      {"fit " + csv + " --threads=18446744073709551615", "--threads"},
       {"approx-fds " + csv + " --epsilon=inf", "--epsilon"},
       {"keys " + csv + " --max-size=+2", "--max-size"},
       {"fit " + csv + " --k=ten", "--k"},

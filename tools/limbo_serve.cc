@@ -149,7 +149,8 @@ bool ParseServeArgs(int argc, char** argv, ServeArgs* args) {
     size_t* out;
   } kSizeFlags[] = {
       {"port", 0, 65535, "an integer in [0, 65535]", &args->port},
-      {"workers", 1, 4096, "an integer in [1, 4096]", &args->workers},
+      {"workers", 1, util::kMaxThreads, "an integer in [1, 4096]",
+       &args->workers},
       {"max-pending", 1, 1 << 20, "a positive integer", &args->max_pending},
       {"batch-max", 1, 4096, "an integer in [1, 4096]", &args->batch_max},
       {"cache-entries", 0, 1 << 24, "an integer in [0, 16777216]",

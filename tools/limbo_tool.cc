@@ -44,9 +44,10 @@
 //   --chunk=<n>       objects per stream chunk (default 4096; memory knob
 //                     only — every value is bit-identical).
 //
-// Every command accepts --threads=N to set the worker-lane count of the
-// clustering hot paths (default: LIMBO_THREADS env var, else hardware
-// concurrency; results are bit-identical for any value), plus:
+// Every command accepts --threads=N, N in [0, 4096], to set the
+// worker-lane count of the clustering hot paths (default: LIMBO_THREADS
+// env var, else hardware concurrency; results are bit-identical for any
+// value), plus:
 //
 //   --report=<path>   write a structured run report (trace spans, work
 //                     counters, and command-specific sections such as the
@@ -80,6 +81,7 @@
 #include "obs/trace.h"
 #include "core/summary_io.h"
 #include "core/dendrogram.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 #include "core/measures.h"
 #include <fstream>
@@ -222,6 +224,11 @@ int ValidateFlags(const Args& args) {
       expected = "a finite number";
     } else if (kSizeFlags.count(flag) > 0 && !util::ParseSize(value, &size)) {
       expected = "a non-negative integer";
+    }
+    // --threads becomes LIMBO_THREADS, which sizes every worker pool.
+    if (flag == "threads" &&
+        (expected != nullptr || size > util::kMaxThreads)) {
+      expected = "an integer in [0, 4096]";
     }
     if (expected != nullptr) {
       std::fprintf(stderr, "limbo-tool %s: --%s must be %s, got \"%s\"\n",
@@ -466,9 +473,7 @@ int CmdRank(const relation::Relation& rel, const Args& args) {
 /// relation joins losslessly from the scheme's bags.
 int CmdSchemes(const relation::Relation& rel, const Args& args) {
   relation::RelationRowSource source(rel);
-  schemes::EntropyOracleOptions oracle_options;
-  oracle_options.threads = args.GetSize("threads", 0);
-  schemes::EntropyOracle oracle(source, oracle_options);
+  schemes::EntropyOracle oracle(source);
   schemes::MineOptions options;
   options.epsilon = args.GetDouble("epsilon", options.epsilon);
   options.max_separator = args.GetSize("max-sep", options.max_separator);
@@ -517,13 +522,12 @@ core::HorizontalPartitionOptions PartitionOptions(const Args& args) {
   options.k = args.GetSize("k", 0);
   options.phi = args.GetDouble("phi", options.phi);
   options.max_k = args.GetSize("max-k", options.max_k);
-  options.threads = args.GetSize("threads", 0);
   options.stream_chunk = args.GetSize("chunk", 0);
   return options;
 }
 
-/// Horizontal partitioning of the tuples. The output is identical with
-/// and without --stream apart from the timings and the scan-count line.
+/// Horizontal partitioning of the tuples. The output is byte-identical
+/// with and without --stream.
 int CmdPartition(core::DcfStream& objects, const Args& args) {
   auto partition =
       core::HorizontallyPartitionStream(objects, PartitionOptions(args));
@@ -545,26 +549,7 @@ int CmdPartition(core::DcfStream& objects, const Args& args) {
     std::printf("  k=%-4zu deltaI=%.5f H(C|V)=%.5f\n", s.k, s.delta_i,
                 s.conditional_entropy);
   }
-  const core::PhaseTimings& t = result.timings;
-  // Only phases that actually ran are reported: a caller-fixed k skips the
-  // Phase-3 scan inside RunLimbo, so phase3_* would be stale zeros.
-  std::printf("timings (threads=%zu): phase1=%.3fs phase2=%.3fs (%" PRIu64
-              " distance evals)",
-              t.threads, t.phase1_seconds, t.phase2_seconds,
-              t.phase2_distance_evals);
-  if (t.phase3_ran) std::printf(" phase3=%.3fs", t.phase3_seconds);
-  std::printf("\n");
-  if (t.streamed) {
-    // Same gating as TimingsSection: the re-scan counter exists only when
-    // Phase 3 actually ran.
-    std::printf("streamed: %" PRIu64 " source scans", t.source_scans);
-    if (t.phase3_ran) {
-      std::printf(", %" PRIu64 " phase-3 re-scans", t.phase3_source_rescans);
-    }
-    std::printf("\n");
-  }
   if (g_collect_report) {
-    AddReportSection(core::TimingsSection(t));
     obs::ReportSection choice("choice_of_k");
     choice.AddField("chosen_k", static_cast<uint64_t>(result.chosen_k));
     choice.AddField("num_leaves", static_cast<uint64_t>(result.num_leaves));
@@ -810,7 +795,6 @@ int CmdFit(const relation::Relation& rel, const Args& args) {
   options.phi_v = args.GetDouble("phi-v", options.phi_v);
   options.psi = args.GetDouble("psi", options.psi);
   options.k = args.GetSize("k", options.k);
-  options.threads = args.GetSize("threads", 0);
   options.refit_state = !args.Has("no-refit-state");
   options.mine_schemes = args.Has("schemes");
   options.schemes_epsilon =
@@ -868,7 +852,6 @@ int CmdRefit(const Args& args) {
   options.drift_moderate =
       args.GetDouble("drift-moderate", options.drift_moderate);
   options.drift_severe = args.GetDouble("drift-severe", options.drift_severe);
-  options.threads = args.GetSize("threads", 0);
   options.chunk_rows = args.GetSize("chunk", options.chunk_rows);
   auto result = model::RefitModel(*parent, *source, options);
   if (!result.ok()) {
@@ -1007,6 +990,7 @@ int main(int argc, char** argv) {
     obs::ReportSection run("run");
     run.AddField("command", args.command);
     run.AddField("input", args.input);
+    run.AddField("threads", static_cast<uint64_t>(util::DefaultThreadCount()));
     g_report_sections.push_back(std::move(run));
   }
   int rc = 2;
