@@ -15,7 +15,11 @@
 //    "nearest" table runs the bound-pruned Phase-3 search on 10k DBLP
 //    tuples (against their heavy Phase-1 leaves, and against k = 64
 //    representatives) beside the full scan: δI scored by each and their
-//    seconds. It exits 1 if any object's label or loss bits differ.
+//    seconds. It exits 1 if any object's label or loss bits differ. Its
+//    "phase2" table runs AIB over the same tuples' Phase-1 leaves (the
+//    default fit's Phase 2, full dendrogram) on one lane: q, δI scored
+//    against the q(q−1)/2 pairs of a full matrix, stale rows rescanned
+//    and seconds. Exactness is KernelEquivalenceTest's gate.
 //  * `micro_limbo --stream [--tuples=N]` writes a DBLP-sized CSV, then
 //    runs the streamed (RowSource + RunLimboStreamed) and materialized
 //    (ReadCsv + RunLimbo) pipelines over it — each in its own child
@@ -78,6 +82,7 @@
 #include "fd/partition.h"
 #include "fd/tane.h"
 #include "model/model_bundle.h"
+#include "obs/counters.h"
 #include "obs/report.h"
 #include "relation/csv_io.h"
 #include "relation/row_source.h"
@@ -388,27 +393,20 @@ size_t MeasureNearestCase(const char* name,
 }
 
 /// The two nearest-candidate shapes the derived tools and serving run:
-/// 10k DBLP tuples against their heavy Phase-1 leaves (the duplicate-tuple
+/// the tuples against their heavy Phase-1 leaves (the duplicate-tuple
 /// pass at its default φ_T = 0.1), and the same tuples against the k = 64
 /// representatives of a φ = 0.5 LIMBO run. Returns the total mismatches.
-size_t MeasureNearestCases(obs::ReportTable* table) {
-  datagen::DblpOptions dblp;
-  dblp.target_tuples = 10000;
-  dblp.seed = 1;
-  const std::vector<core::Dcf> objects =
-      core::BuildTupleObjects(datagen::GenerateDblp(dblp));
-  core::LimboOptions options;
-  options.phi = 0.1;
-  core::VectorDcfStream stream(objects);
-  const core::Phase1Summary phase1 =
-      core::SummarizePhase1(stream, options).value();
+size_t MeasureNearestCases(const std::vector<core::Dcf>& objects,
+                           const std::vector<core::Dcf>& leaves,
+                           obs::ReportTable* table) {
   std::vector<core::Dcf> heavy;
   const double single = 1.0 / static_cast<double>(objects.size());
-  for (const core::Dcf& leaf : phase1.leaves) {
+  for (const core::Dcf& leaf : leaves) {
     if (leaf.p > single * 1.5) heavy.push_back(leaf);
   }
   size_t mismatches =
       MeasureNearestCase("tuples_vs_heavy_leaves", objects, heavy, table);
+  core::LimboOptions options;
   options.phi = 0.5;
   options.k = 64;
   const core::LimboResult k64 = core::RunLimbo(objects, options).value();
@@ -417,9 +415,33 @@ size_t MeasureNearestCases(obs::ReportTable* table) {
   return mismatches;
 }
 
-/// Kernel benchmark mode: the micro sweep over support shapes, then the
-/// nearest-candidate search against the full scan. Exits 1 if any
-/// object's label or loss bits differ from the full scan's.
+/// Phase 2 of the default fit: AIB over `leaves` down to one cluster, on
+/// one lane. Appends q, the δI it scored, the q(q−1)/2 a full matrix
+/// scores, the stale rows it rescanned (0 while obs is off) and its wall
+/// time.
+void MeasurePhase2(const std::vector<core::Dcf>& leaves,
+                   obs::ReportTable* table) {
+  core::AibOptions options;
+  options.threads = 1;
+  obs::Counter& rescans = obs::GetCounter("aib.nn_cache.misses");
+  const uint64_t rescans_before = rescans.Value();
+  const auto start = std::chrono::steady_clock::now();
+  const core::AibResult result =
+      core::AgglomerativeIb(leaves, options).value();
+  const double seconds = Seconds(start);
+  const size_t q = leaves.size();
+  table->rows.push_back(
+      {obs::ReportValue::Integer(q),
+       obs::ReportValue::Integer(result.stats().distance_evals),
+       obs::ReportValue::Integer(q * (q - 1) / 2),
+       obs::ReportValue::Integer(rescans.Value() - rescans_before),
+       obs::ReportValue::Number(seconds)});
+}
+
+/// Kernel benchmark mode: the micro sweep over support shapes, the
+/// nearest-candidate search against the full scan, and Phase-2 AIB, on
+/// 10k DBLP tuples (seed 1) and their φ_T = 0.1 Phase-1 leaves. Exits 1
+/// if any object's label or loss bits differ from the full scan's.
 int RunKernelBench() {
   obs::ReportSection kernel("kernel");
   kernel.table.columns = {"case",
@@ -439,8 +461,24 @@ int RunKernelBench() {
                            "candidates",     "delta_i_scored",
                            "delta_i_full",   "seconds",
                            "full_seconds",   "mismatches"};
-  const size_t mismatches = MeasureNearestCases(&nearest.table);
-  PrintReport("micro_limbo --kernel", {std::move(kernel), std::move(nearest)});
+  datagen::DblpOptions dblp;
+  dblp.target_tuples = 10000;
+  dblp.seed = 1;
+  const std::vector<core::Dcf> objects =
+      core::BuildTupleObjects(datagen::GenerateDblp(dblp));
+  core::LimboOptions options;
+  options.phi = 0.1;
+  core::VectorDcfStream stream(objects);
+  const std::vector<core::Dcf> leaves =
+      core::SummarizePhase1(stream, options).value().leaves;
+  const size_t mismatches =
+      MeasureNearestCases(objects, leaves, &nearest.table);
+  obs::ReportSection phase2("phase2");
+  phase2.table.columns = {"q", "delta_i_scored", "delta_i_full", "rescans",
+                          "seconds"};
+  MeasurePhase2(leaves, &phase2.table);
+  PrintReport("micro_limbo --kernel",
+              {std::move(kernel), std::move(nearest), std::move(phase2)});
   if (mismatches > 0) {
     std::fprintf(stderr,
                  "micro_limbo --kernel: %zu objects differ from the full "

@@ -25,10 +25,10 @@ struct Merge {
 };
 
 /// Execution counters of an AgglomerativeIb run, for observability. The
-/// eval counter is computed from the dispatch structure (not per-call
-/// atomics), so it is exact and identical across thread counts.
+/// search bounds do not depend on how work is split over lanes, so the
+/// count is exact and identical across thread counts.
 struct AibStats {
-  /// Number of InformationLoss evaluations (initial matrix + refreshes).
+  /// Number of δI scored: the pairs the lower bound could not rule out.
   uint64_t distance_evals = 0;
 };
 
@@ -69,20 +69,23 @@ class AibResult {
 struct AibOptions {
   /// Stop when this many clusters remain (1 = full dendrogram).
   size_t min_k = 1;
-  /// Worker lanes for the distance-matrix build and per-merge row
-  /// refresh. 0 = LIMBO_THREADS env var / hardware concurrency
-  /// (util::DefaultThreadCount), 1 = serial. Results are bit-identical
-  /// for every value.
+  /// Worker lanes for the initial row searches, the batched rescans and
+  /// the per-merge refresh. 0 = LIMBO_THREADS env var / hardware
+  /// concurrency (util::DefaultThreadCount), 1 = serial. Results and
+  /// work counts are bit-identical for every value.
   size_t threads = 0;
 };
 
 /// Agglomerative Information Bottleneck (Slonim & Tishby): greedily merges
 /// the cluster pair with minimum information loss δI until `min_k` clusters
-/// remain. Exact greedy; the distance matrix is the packed strict upper
-/// triangle, q(q-1)/2 doubles, and the merge loop scans only the live
-/// slots. That memory is still quadratic, so AIB is intended for q up to a
-/// few thousand — use Limbo (limbo.h) above that, exactly as the paper
-/// prescribes.
+/// remain. Exact greedy without a distance matrix: each live row keeps its
+/// nearest neighbour, found through an inverted value index over the live
+/// clusters and pruned by the δI lower bound FindNearestCandidate uses
+/// (LossLowerBound); a row whose neighbour merged away keeps its distance
+/// as a lower bound and is rescanned only when that bound could win.
+/// Memory is O(Σ supports + lanes·q). Time still grows with q² bound
+/// evaluations, so LIMBO (limbo.h) is the tool for raw tuples, exactly as
+/// the paper prescribes. docs/algorithms.md has the details.
 ///
 /// Ties in δI are broken deterministically on *cluster ids*: the pair
 /// with the lexicographically smallest (min id, max id) merges first,

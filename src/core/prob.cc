@@ -336,13 +336,8 @@ namespace {
 constexpr uint32_t kDenseIdLimit = 1u << 22;
 }  // namespace
 
-void LossKernel::SetObject(double p, DistributionView cond, uint64_t tag) {
-  if (tag != 0 && tag == tag_) {
-    ++stats_.dedup_hits;
-    return;
-  }
+void LossKernel::SetObject(double p, DistributionView cond) {
   ++stats_.scatters;
-  tag_ = tag;
   for (uint32_t id : touched_) dense_mass_[id] = 0.0;
   touched_.clear();
   object_p_ = p;
@@ -495,17 +490,6 @@ void CandidateSet::Add(double p, DistributionView cond) {
   mass_caps_.push_back(std::min(1.0, mass));
 }
 
-namespace {
-// `m` rounded up to a float, so that a sum of these is never below the
-// exact sum of the masses.
-float FloatAtLeast(double m) {
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  if (!(m < std::numeric_limits<float>::max())) return kInf;
-  const float f = static_cast<float>(m);
-  return static_cast<double>(f) < m ? std::nextafter(f, kInf) : f;
-}
-}  // namespace
-
 void CandidateSet::BuildIndex() {
   // Counting sort of the row entries by value id; filling the lists
   // candidate by candidate leaves each one in candidate order. The ids
@@ -548,20 +532,6 @@ void CandidateSet::BuildIndex() {
   }
 }
 
-namespace {
-// Rounding slack of the lower bound: the bound is scaled by 1 − 1e-9 and
-// then lowered by (p_o + p_c)·1e-12, the scale of the kernel's own
-// rounding in δI = (p_o + p_c)·JS. The absolute part is what keeps ties
-// exact: an object with a tiny mass (say 1e-15) that a candidate lacks
-// gives that candidate a bound of about 1e-15·A, while its δI and that of
-// an exact copy of the object can both round to 0 — a tie the lower index
-// must win. It also covers a shave of 1e-12 off U_o and U_c, because
-// A + B <= p_o + p_c, and candidates whose prior dwarfs the object's,
-// whose δI carries rounding of order p_c·1e-16.
-constexpr double kBoundRelativeSlack = 1e-9;
-constexpr double kBoundLossSlack = 1e-12;
-}  // namespace
-
 NearestCandidate FindNearestCandidate(LossKernel* kernel, double object_p,
                                       DistributionView object_cond,
                                       const CandidateSet& candidates) {
@@ -594,29 +564,15 @@ NearestCandidate FindNearestCandidate(LossKernel* kernel, double object_p,
       }
     }
   }
-  // LB = A·U_o + B·U_c, with log2(1 + p_c/p_o) split as
-  // max(0, log2 p_c − log2 p_o) + log2(1 + r), r = min/max of the priors,
-  // and log2(1 + r) >= log2(e)·2r/(2 + r) = log2(e)·2·min/(2·max + min).
-  const double po = object_p;
-  const double log_po = bounded ? Log2(po) : 0.0;
+  const BoundSide object{object_p, bounded ? Log2(object_p) : 0.0,
+                         std::min(1.0, object_mass)};
   size_t first = 0;
   for (size_t c = 0; c < n; ++c) {
-    double lb = 0.0;
-    const double pc = candidates.priors_[c];
-    if (bounded && pc > 0.0 && candidates.mass_caps_[c] > 0.0) {
-      const double log_pc = candidates.log2_priors_[c];
-      const double p_min = std::min(pc, po);
-      const double log_1r =
-          kLog2e * 2.0 * p_min / (2.0 * std::max(pc, po) + p_min);
-      const double a = po * (std::max(0.0, log_pc - log_po) + log_1r);
-      const double b = pc * (std::max(0.0, log_po - log_pc) + log_1r);
-      const double uo = object_mass - shared[c].object;
-      const double uc = candidates.mass_caps_[c] - shared[c].candidate;
-      lb = (a * std::max(0.0, uo) + b * std::max(0.0, uc)) *
-               (1.0 - kBoundRelativeSlack) -
-           kBoundLossSlack * (po + pc);
-      if (!(lb > 0.0)) lb = 0.0;
-    }
+    const BoundSide candidate{candidates.priors_[c],
+                              candidates.log2_priors_[c],
+                              candidates.mass_caps_[c]};
+    const double lb = LossLowerBound(object, shared[c].object, candidate,
+                                     shared[c].candidate);
     shared[c] = {};
     bounds[c] = lb;
     if (lb < bounds[first]) first = c;
@@ -646,13 +602,10 @@ void FlushKernelStats(const std::vector<LossKernel>& kernels,
   for (const LossKernel& kernel : kernels) {
     total.loss_calls += kernel.stats().loss_calls;
     total.scatters += kernel.stats().scatters;
-    total.dedup_hits += kernel.stats().dedup_hits;
   }
   obs::GetCounter(prefix + ".loss_calls").Add(total.loss_calls);
   obs::GetCounter(prefix + ".scatters", /*scheduling=*/true)
       .Add(total.scatters);
-  obs::GetCounter(prefix + ".dedup_hits", /*scheduling=*/true)
-      .Add(total.dedup_hits);
 }
 
 }  // namespace limbo::core

@@ -1,7 +1,10 @@
 #ifndef LIMBO_CORE_PROB_H_
 #define LIMBO_CORE_PROB_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -163,6 +166,66 @@ class DistributionArena {
   std::vector<size_t> offsets_ = {0};
 };
 
+/// One side of the δI lower bound below: a prior, its log2 (0 for a zero
+/// prior) and the row's total mass capped at 1.
+struct BoundSide {
+  double p = 0.0;
+  double log2_p = 0.0;
+  double mass = 0.0;
+};
+
+/// The exact lower bound on δI(o, c) that both bound-pruned searches
+/// (FindNearestCandidate and AgglomerativeIb) prune with. With A =
+/// p_o·log2(1 + p_c/p_o), B = p_c·log2(1 + p_o/p_c), U_o = o.mass −
+/// shared_o (the object's mass on values the candidate lacks) and U_c =
+/// c.mass − shared_c,
+///     δI(o, c) = A·U_o + B·U_c + (p_o + p_c)·Σ_shared JS terms,
+/// and every shared JS term is >= 0, so LB = A·U_o + B·U_c <= δI. The
+/// logs come from the sides' log2 priors plus a rational lower bound on
+/// log2(1 + r), r = min/max of the two priors, so a bound costs no log.
+/// It returns 0 when either side has a zero prior or no mass. The bound is
+/// symmetric in exact arithmetic, so either side may be the kernel object.
+///
+/// Rounding slack: the bound is scaled by 1 − 1e-9 and then lowered by
+/// (p_o + p_c)·1e-12, the scale of the kernel's own rounding in δI =
+/// (p_o + p_c)·JS. The absolute part is what keeps ties exact: an object
+/// with a tiny mass (say 1e-15) that a candidate lacks gives that
+/// candidate a bound of about 1e-15·A, while its δI and that of an exact
+/// copy of the object can both round to 0 — a tie the lower index or id
+/// must win. It also covers a shave of 1e-12 off U_o and U_c, because
+/// A + B <= p_o + p_c, and candidates whose prior dwarfs the object's,
+/// whose δI carries rounding of order p_c·1e-16.
+inline double LossLowerBound(const BoundSide& o, double shared_o,
+                             const BoundSide& c, double shared_c) {
+  constexpr double kRelativeSlack = 1e-9;
+  constexpr double kLossSlack = 1e-12;
+  constexpr double kLog2e = 1.4426950408889634;  // 1/ln(2)
+  if (!(o.p > 0.0 && o.mass > 0.0 && c.p > 0.0 && c.mass > 0.0)) return 0.0;
+  // log2(1 + p_c/p_o) = max(0, log2 p_c − log2 p_o) + log2(1 + r), and
+  // log2(1 + r) >= log2(e)·2r/(2 + r) = log2(e)·2·min/(2·max + min).
+  const double p_min = std::min(o.p, c.p);
+  const double log_1r =
+      kLog2e * 2.0 * p_min / (2.0 * std::max(o.p, c.p) + p_min);
+  const double a = o.p * (std::max(0.0, c.log2_p - o.log2_p) + log_1r);
+  const double b = c.p * (std::max(0.0, o.log2_p - c.log2_p) + log_1r);
+  const double lb = (a * std::max(0.0, o.mass - shared_o) +
+                     b * std::max(0.0, c.mass - shared_c)) *
+                        (1.0 - kRelativeSlack) -
+                    kLossSlack * (o.p + c.p);
+  return lb > 0.0 ? lb : 0.0;
+}
+
+/// `m` rounded up to a float, so that a sum of these is never below the
+/// exact sum of the masses: an index that stores posting masses this way
+/// can only overstate a shared mass, which keeps U and the bound from
+/// overstating.
+inline float FloatAtLeast(double m) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  if (!(m < std::numeric_limits<float>::max())) return kInf;
+  const float f = static_cast<float>(m);
+  return static_cast<double>(f) < m ? std::nextafter(f, kInf) : f;
+}
+
 /// Result of a nearest-candidate search: the winning candidate's index in
 /// its CandidateSet and its δI.
 struct NearestCandidate {
@@ -200,21 +263,16 @@ class LossKernel {
   struct Stats {
     /// Loss() invocations. Thread-invariant: dispatch is structural.
     uint64_t loss_calls = 0;
-    /// SetObject() calls that actually scattered the object.
+    /// SetObject() calls. A scheduling tally: call sites that SetObject
+    /// once per work item (Phase 3) produce thread-invariant sums, but
+    /// AIB's lanes each keep the row they last set, so there the sum
+    /// depends on which lane scored which row.
     uint64_t scatters = 0;
-    /// SetObject() calls skipped by the same-tag dedup. scatters and
-    /// dedup_hits are scheduling tallies: call sites that SetObject once
-    /// per work item (Phase 3) produce thread-invariant sums, but sites
-    /// that re-set per chunk of a parallel scan (the AIB refresh) make
-    /// even the sum depend on how the range was chunked.
-    uint64_t dedup_hits = 0;
   };
 
   /// Fixes the object side. The view's backing storage must outlive
-  /// subsequent Loss calls. A nonzero `tag` makes repeated calls with
-  /// the same tag no-ops, for call sites that re-set the same object
-  /// once per chunk of a parallel scan.
-  void SetObject(double p, DistributionView cond, uint64_t tag = 0);
+  /// subsequent Loss calls.
+  void SetObject(double p, DistributionView cond);
 
   /// δI(object, candidate) — Eq. 3, bits.
   double Loss(double p, DistributionView cand) const;
@@ -243,7 +301,6 @@ class LossKernel {
   std::vector<double> dense_mass_;
   std::vector<double> dense_log_;
   std::vector<uint32_t> touched_;
-  uint64_t tag_ = 0;
   mutable Stats stats_;  // mutable: Loss() is logically const
   // FindNearestCandidate's per-candidate scratch: the object's and the
   // candidate's mass on their shared values (all zero between searches),
@@ -327,32 +384,24 @@ class CandidateSet {
 /// engine's assign path both call this one function, which is what makes
 /// a served label bit-identical to the batch run's.
 ///
-/// The search is exact but scores only candidates a lower bound cannot
-/// rule out. With A = p_o·log2(1 + p_c/p_o), B = p_c·log2(1 + p_o/p_c),
-/// U_o the object's mass on values the candidate lacks and U_c the
-/// candidate's mass on values the object lacks,
-///     δI(o, c) = A·U_o + B·U_c + (p_o + p_c)·Σ_shared JS terms,
-/// and every shared JS term is >= 0, so LB = A·U_o + B·U_c <= δI. One walk
-/// over the object's postings gives U_o and U_c for every candidate; the
-/// logs come from cached log2 priors plus a rational lower bound on
-/// log2(1 + r), r = min/max of the two priors, so a bound costs no log.
-/// The candidate with the smallest bound is scored first, then, in index
-/// order, every candidate whose bound is <= the running best; the result
-/// is the (loss, index) lexicographic minimum — exactly the strict-<
-/// first-index argmin of a full scan, in labels and loss bits. The bound
-/// is scaled by 1 − 1e-9 and lowered by (p_o + p_c)·1e-12, so rounding
-/// never prunes a candidate that ties. Zero-prior or empty objects are
-/// scored against every candidate; zero-prior or empty candidates get
-/// bound 0. docs/algorithms.md has the derivation. `candidates` must be
-/// non-empty; the per-candidate scratch lives in `kernel`.
+/// The search is exact but scores only candidates LossLowerBound cannot
+/// rule out: one walk over the object's postings gives U_o and U_c for
+/// every candidate. The candidate with the smallest bound is scored
+/// first, then, in index order, every candidate whose bound is <= the
+/// running best; the result is the (loss, index) lexicographic minimum —
+/// exactly the strict-< first-index argmin of a full scan, in labels and
+/// loss bits. Zero-prior or empty objects are scored against every
+/// candidate; zero-prior or empty candidates get bound 0.
+/// docs/algorithms.md has the derivation. `candidates` must be non-empty;
+/// the per-candidate scratch lives in `kernel`.
 NearestCandidate FindNearestCandidate(LossKernel* kernel, double object_p,
                                       DistributionView object_cond,
                                       const CandidateSet& candidates);
 
 /// Sums the tallies of a set of per-lane kernels into the obs counters
 /// `<prefix>.loss_calls` (work — identical at every thread count) and
-/// `<prefix>.scatters` / `<prefix>.dedup_hits` (scheduling — dependent
-/// on lane count and chunking). No-op while obs is disabled. Call once
+/// `<prefix>.scatters` (scheduling — dependent on lane count and on which
+/// lane did which work). No-op while obs is disabled. Call once
 /// per kernel lifetime, after all parallel regions joined.
 void FlushKernelStats(const std::vector<LossKernel>& kernels,
                       const std::string& prefix);

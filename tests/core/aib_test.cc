@@ -182,8 +182,13 @@ INSTANTIATE_TEST_SUITE_P(Threads, AibThreadsTest, ::testing::Values(1, 4));
 TEST(AibStatsTest, CountsDistanceEvaluations) {
   auto result = AgglomerativeIb(TwoNaturalClusters());
   ASSERT_TRUE(result.ok());
-  // Initial matrix: 4*3/2 = 6. Refreshes: 2 + 1 + 0 after each merge.
-  EXPECT_EQ(result->stats().distance_evals, 9u);
+  // δI scored. Build: each row scores only its copy, since the bound on
+  // a disjoint pair is above 0: 4. After the first merge, the merged
+  // row's own neighbour: 2, because on disjoint rows the bound is exact
+  // up to its slack and so cannot rule out the second, equal cell. After
+  // the second merge: 1 for the merged row and 1 to rescan the first
+  // merged row, whose neighbour merged away.
+  EXPECT_EQ(result->stats().distance_evals, 8u);
 }
 
 TEST(ClusterDcfsAtKTest, MassConserved) {

@@ -17,6 +17,7 @@
 #include "core/prob.h"
 #include "core/tuple_clustering.h"
 #include "datagen/dblp.h"
+#include "obs/counters.h"
 #include "reference/per_pair.h"
 
 namespace limbo::core {
@@ -178,24 +179,6 @@ TEST(LossKernelTest, HugeIdsUseTwoPointerFallbackWithSameResults) {
   LossKernel kernel;
   kernel.SetObject(a.p, a.cond);
   EXPECT_NEAR(kernel.Loss(b.p, b.cond), ReferenceLoss(a, b), 1e-12);
-}
-
-TEST(LossKernelTest, TagMakesRepeatSetObjectANoOp) {
-  const SparseDistribution da =
-      SparseDistribution::FromPairs({{0, 0.5}, {1, 0.5}});
-  const SparseDistribution db =
-      SparseDistribution::FromPairs({{2, 0.5}, {3, 0.5}});
-  const SparseDistribution cand =
-      SparseDistribution::FromPairs({{0, 0.25}, {1, 0.25}, {2, 0.5}});
-  LossKernel kernel;
-  kernel.SetObject(0.5, da, /*tag=*/1);
-  const double with_a = kernel.Loss(0.5, cand);
-  // Same tag: the object stays `da` even though we pass `db`.
-  kernel.SetObject(0.5, db, /*tag=*/1);
-  EXPECT_EQ(kernel.Loss(0.5, cand), with_a);
-  // New tag: the object switches.
-  kernel.SetObject(0.5, db, /*tag=*/2);
-  EXPECT_NE(kernel.Loss(0.5, cand), with_a);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +350,8 @@ TEST_P(KernelEquivalenceTest, AibMinKAtQMakesNoMerges) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->merges().empty());
   EXPECT_EQ(result->FinalK(), inputs.size());
-  EXPECT_EQ(result->stats().distance_evals, 20u * 19u / 2u);
+  // No merges to make, so no δI is scored.
+  EXPECT_EQ(result->stats().distance_evals, 0u);
 }
 
 /// Runs Phase 3 of `objects` against `reps` at `threads` lanes and checks
@@ -398,18 +382,25 @@ TEST_P(KernelEquivalenceTest, Phase3AssignmentsAndLossesBitIdentical) {
 // The inputs a real fit hands Phase 2: the Phase-1 leaves of 2,000 DBLP
 // tuples at φ = 0.5 (about 200 of them). Phase 3 then scans all 2,000
 // tuples against the k = 10 representatives cut from that merge sequence.
-TEST_P(KernelEquivalenceTest, DblpPhase1LeavesBitIdentical) {
+std::vector<Dcf> DblpTupleObjects() {
   datagen::DblpOptions dblp;
   dblp.target_tuples = 2000;
-  const std::vector<Dcf> objects =
-      BuildTupleObjects(datagen::GenerateDblp(dblp));
+  return BuildTupleObjects(datagen::GenerateDblp(dblp));
+}
+
+std::vector<Dcf> DblpLeaves(const std::vector<Dcf>& objects, size_t threads) {
   LimboOptions options;
   options.phi = 0.5;
-  options.threads = GetParam();
+  options.threads = threads;
   VectorDcfStream stream(objects);
   auto phase1 = SummarizePhase1(stream, options);
-  ASSERT_TRUE(phase1.ok());
-  const std::vector<Dcf>& leaves = phase1->leaves;
+  EXPECT_TRUE(phase1.ok());
+  return phase1.ok() ? phase1->leaves : std::vector<Dcf>{};
+}
+
+TEST_P(KernelEquivalenceTest, DblpPhase1LeavesBitIdentical) {
+  const std::vector<Dcf> objects = DblpTupleObjects();
+  const std::vector<Dcf> leaves = DblpLeaves(objects, GetParam());
   ASSERT_GT(leaves.size(), 100u);
   ExpectAibMatchesReference(leaves, 1, GetParam());
 
@@ -601,8 +592,131 @@ TEST_P(KernelEquivalenceTest, Phase3OneCandidateAndThreeThousand) {
   ExpectPhase3MatchesReference(objects, reps, GetParam());
 }
 
+// ---------------------------------------------------------------------------
+// AIB on adversarial inputs: whatever the value index and the δI bound
+// prune, every merge must match the per-pair reference, bit for bit.
+
+/// `d` with value `id` added at `mass`, renormalized.
+Dcf WithValue(const Dcf& d, uint32_t id, double mass) {
+  std::vector<SparseDistribution::Entry> entries = d.cond.entries();
+  entries.push_back({id, mass});
+  return Dcf{d.p, SparseDistribution::FromPairs(std::move(entries)), {}};
+}
+
+/// Inputs that all hold value 500 and, but for every seventh, value 501:
+/// a row that holds a value most rows hold and a row that lacks one.
+std::vector<Dcf> InputsWithCommonValues(size_t q) {
+  std::vector<Dcf> inputs = MixedInputs(q);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i] = WithValue(inputs[i], 500, 0.3);
+    if (i % 7 != 3) {
+      inputs[i] = WithValue(inputs[i], 501, 0.1 + 0.01 * (i % 5));
+    }
+  }
+  return inputs;
+}
+
+// Exact copies tie at δI 0. Each input's near-copy sits at a lower id with
+// a private mass of 1e-15 (a positive bound, a loss that rounds to about
+// 0), and its exact copies at higher ids have bound 0, so the partner
+// scored first is not the lowest id the tie must go to.
+TEST_P(KernelEquivalenceTest, AibDuplicatedInputsTieAtZero) {
+  const std::vector<Dcf> plain = MixedInputs(24);
+  std::vector<Dcf> inputs;
+  for (size_t i = 0; i < plain.size(); ++i) {
+    std::vector<SparseDistribution::Entry> entries = plain[i].cond.entries();
+    entries.push_back({static_cast<uint32_t>(1000 + i), 1e-15});
+    inputs.push_back(Dcf{plain[i].p / 1000,
+                         SparseDistribution::FromNormalizedPairs(entries),
+                         {}});
+  }
+  for (const Dcf& d : plain) inputs.push_back(d);
+  for (const Dcf& d : plain) {
+    inputs.push_back(WithPrior(d, d.p / 1000));
+    inputs.push_back(d);
+  }
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibValuesHeldByAllAndByMost) {
+  ExpectAibMatchesReference(InputsWithCommonValues(60), 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibValueHeldByExactlyHalf) {
+  std::vector<Dcf> inputs = MixedInputs(40);
+  for (size_t i = 0; i < inputs.size(); i += 2) {
+    inputs[i] = WithValue(inputs[i], 500, 0.2);
+  }
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibPriorsFromOneTrillionthToOne) {
+  std::vector<Dcf> inputs = MixedInputs(60);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i].p = std::pow(10.0, -12.0 * static_cast<double>(i * 37 % 60) /
+                                     59.0);
+  }
+  // Copies of a few inputs at priors a million times apart.
+  for (size_t i = 0; i < 60; i += 12) {
+    inputs.push_back(WithPrior(inputs[i], inputs[i].p * 1e6));
+    inputs.push_back(WithPrior(inputs[i], inputs[i].p * 1e-6));
+  }
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibZeroPriorInputs) {
+  std::vector<Dcf> inputs = InputsWithCommonValues(40);
+  for (size_t i = 0; i < inputs.size(); i += 5) inputs[i].p = 0.0;
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibIdsPastTheDenseCap) {
+  const uint32_t kPastDenseCap = (1u << 22) + 17;
+  std::vector<Dcf> inputs = MixedInputs(48);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (i % 2 == 0) inputs[i].cond = Shifted(inputs[i].cond, kPastDenseCap);
+    if (i % 3 == 0) inputs[i] = WithValue(inputs[i], UINT32_MAX - 1, 0.5);
+  }
+  ExpectAibMatchesReference(inputs, 1, GetParam());
+}
+
+TEST_P(KernelEquivalenceTest, AibMinKAtOneQMinusOneAndQ) {
+  const std::vector<Dcf> inputs = InputsWithCommonValues(30);
+  for (size_t min_k : {size_t{1}, inputs.size() - 1, inputs.size()}) {
+    ExpectAibMatchesReference(inputs, min_k, GetParam());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KernelEquivalenceTest,
                          ::testing::Values(1, 4));
+
+// The pruned search does the same work at every lane count: δI scored
+// and rows rescanned are functions of the inputs alone.
+TEST(AibWorkCountersTest, DblpLeavesSameAtOneTwoFourAndEightLanes) {
+  const std::vector<Dcf> leaves = DblpLeaves(DblpTupleObjects(), 1);
+  ASSERT_GT(leaves.size(), 100u);
+  obs::SetEnabled(true);
+  std::vector<uint64_t> evals;
+  std::vector<uint64_t> rescans;
+  for (size_t threads : {1, 2, 4, 8}) {
+    obs::ResetCounters();
+    AibOptions options;
+    options.threads = threads;
+    auto result = AgglomerativeIb(leaves, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(obs::GetCounter("aib.distance_evals").Value(),
+              result->stats().distance_evals);
+    evals.push_back(result->stats().distance_evals);
+    rescans.push_back(obs::GetCounter("aib.nn_cache.misses").Value());
+  }
+  obs::SetEnabled(false);
+  EXPECT_GT(evals[0], 0u);
+  EXPECT_GT(rescans[0], 0u);
+  for (size_t i = 1; i < evals.size(); ++i) {
+    EXPECT_EQ(evals[i], evals[0]) << i;
+    EXPECT_EQ(rescans[i], rescans[0]) << i;
+  }
+}
 
 }  // namespace
 }  // namespace limbo::core

@@ -1,13 +1,14 @@
 // Per-pair reference formulations of the two δI argmins the library runs
-// through its batch LossKernel: the greedy AIB merge loop (Phase 2) and
-// the Phase-3 assignment scan. They work on plain std::vector<Dcf> with
-// InformationLoss and MergeDcf — no arena, no per-lane kernels, no
-// nearest-neighbour cache — so a bit-for-bit match against
-// core::AgglomerativeIb and core::LimboPhase3 checks the batch storage,
-// the NN-cache bookkeeping and the tie-breaking together. Used by
-// kernel_test's KernelEquivalenceTest, on random inputs and on the
-// Phase-1 leaves of 2,000 DBLP tuples; deliberately slow (the AIB
-// reference rescans the whole pair matrix every merge).
+// through its batch LossKernel and bound-pruned searches: the greedy AIB
+// merge loop (Phase 2) and the Phase-3 assignment scan. They work on
+// plain std::vector<Dcf> with InformationLoss and MergeDcf — no arena, no
+// per-lane kernels, no value index, no lower bounds, no nearest-neighbour
+// bookkeeping — so a bit-for-bit match against core::AgglomerativeIb and
+// core::LimboPhase3 checks the batch storage, the pruning, the lazy
+// rescans and the tie-breaking together. Used by kernel_test's
+// KernelEquivalenceTest, on adversarial inputs and on the Phase-1 leaves
+// of 2,000 DBLP tuples; deliberately slow (the AIB reference is the full
+// pair matrix, rescanned every merge).
 
 #ifndef LIMBO_TESTS_REFERENCE_PER_PAIR_H_
 #define LIMBO_TESTS_REFERENCE_PER_PAIR_H_
@@ -23,11 +24,11 @@ namespace limbo::reference {
 
 /// Greedy AIB down to `min_k` clusters. Each step merges the live pair
 /// with minimal δI, ties going to the lexicographically smallest
-/// (min cluster id, max cluster id). Orientation follows the production
-/// loop, because δI is not bit-symmetric in its arguments: the initial
+/// (min cluster id, max cluster id). Orientation is the one production
+/// keeps, because δI is not bit-symmetric in its arguments: the initial
 /// δI(i, j), i < j, takes slot i as the object, a merged cluster lands in
 /// the slot of its lower-id input, and its refreshed distances take the
-/// merged slot as the object.
+/// merged slot as the object — the newer cluster is always the object.
 inline std::vector<core::Merge> AibMerges(const std::vector<core::Dcf>& inputs,
                                           size_t min_k) {
   const size_t q = inputs.size();

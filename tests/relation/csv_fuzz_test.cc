@@ -42,7 +42,9 @@ TEST(CsvFuzzTest, DeepQuotingNesting) {
   content += '\n';
   auto result = ParseCsv(content);
   // Either outcome is fine; it must simply terminate.
-  if (result.ok()) EXPECT_GE(result->NumTuples(), 0u);
+  if (result.ok()) {
+    EXPECT_GE(result->NumTuples(), 0u);
+  }
 }
 
 TEST(CsvFuzzTest, VeryWideRow) {
