@@ -3,7 +3,7 @@
 // AIB is quadratic in the number of objects, LIMBO Phase 1 is near-linear
 // with a bounded number of summaries.
 //
-// Three modes skip the google-benchmark suite and measure what neither
+// Two modes skip the google-benchmark suite and measure what neither
 // the repository benchmark (perfbench) nor ctest can. Each prints one
 // RunReport JSON on stdout, the schema `limbo-tool --report` writes, with
 // its own section first and the trace spans, work counters and the
@@ -30,36 +30,15 @@
 //    and exits 0 iff the checksums match (the bit-identity contract).
 //    (`--stream-arm=` / `--stream-csv=` are the internal child-process
 //    protocol.)
-//  * `micro_limbo --load [--tuples=N] [--connections=C]
-//    [--serve-workers=W] [--load-seconds=S] [--p99-limit-us=X]
-//    [--batch-max=B] [--cache-entries=E]` is the
-//    closed-loop TCP load harness: two model bundles (k=10 and k=4 over
-//    the same DBLP input) are frozen to disk and served by an in-process
-//    serve::Server (reactor + worker-lane batching — the exact stack
-//    behind limbo-serve), C client connections drive assign queries
-//    routed across both models as fast as responses come back, and one
-//    blue/green hot reload fires mid-run through the admin protocol.
-//    --batch-max shapes the server's cross-connection batching (1
-//    disables it); --cache-entries enables the registry's
-//    version-keyed response cache (0 = off), so cache hits must survive
-//    the mid-run reload byte-identically. Every response is
-//    byte-compared against the engine-computed expectation for its
-//    model; the run fails on any mismatched or dropped response, a
-//    failed reload, or (when --p99-limit-us is given) an aggregate p99
-//    above the ceiling. Its "serve_load" section records realized
-//    batching (batches, mean_batch) and cache_hits.
 //
 // A mode rejects any flag it does not take and any number that does not
 // parse in full with exit 2, so a mistyped gate flag can never leave its
 // gate silently off. Without a mode, unknown arguments exit 2 as well.
 
 #include <benchmark/benchmark.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -68,7 +47,6 @@
 #include <initializer_list>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -81,16 +59,11 @@
 #include "fd/fdep.h"
 #include "fd/partition.h"
 #include "fd/tane.h"
-#include "model/model_bundle.h"
 #include "obs/counters.h"
 #include "obs/report.h"
 #include "relation/csv_io.h"
 #include "relation/row_source.h"
 #include "relation/source_stats.h"
-#include "serve/engine.h"
-#include "serve/registry.h"
-#include "serve/server.h"
-#include "util/json.h"
 #include "util/parallel.h"
 #include "util/random.h"
 #include "util/strings.h"
@@ -497,9 +470,9 @@ int RunKernelBench() {
 int RunStreamArm(const std::string& arm, const std::string& csv_path) {
   core::LimboOptions options;
   // φ = 1.0 keeps the Phase-1 summary count bounded the way the paper
-  // runs large inputs; with thousands of leaves the quadratic Phase-2
-  // matrix would dominate both arms' RSS and mask the ingest difference
-  // this benchmark exists to measure.
+  // runs large inputs; with thousands of leaves Phase 2 would dominate
+  // both arms and mask the ingest difference this benchmark exists to
+  // measure.
   options.phi = 1.0;
   options.k = 10;
   const auto start = std::chrono::steady_clock::now();
@@ -655,287 +628,6 @@ int RunStreamBench(size_t tuples) {
   return equivalent ? 0 : 1;
 }
 
-/// Freezes the tuple-clustering artifacts of one LIMBO run at `k` into
-/// a ModelBundle. The value-group / FD sections stay empty — assign
-/// touches only the representatives and the dictionary, and fitting
-/// them would dominate setup time.
-util::Result<model::ModelBundle> FreezeTupleBundle(
-    const relation::Relation& rel, const std::vector<core::Dcf>& objects,
-    size_t k) {
-  core::LimboOptions options;
-  options.phi = 0.5;
-  options.k = k;
-  LIMBO_ASSIGN_OR_RETURN(core::LimboResult run,
-                         core::RunLimbo(objects, options));
-  model::ModelBundle bundle;
-  bundle.num_rows = rel.NumTuples();
-  bundle.phi_t = options.phi;
-  bundle.mutual_information = run.mutual_information;
-  bundle.threshold = run.threshold;
-  bundle.schema = rel.schema();
-  bundle.dictionary = rel.dictionary();
-  bundle.representatives = std::move(run.representatives);
-  bundle.assignments = std::move(run.assignments);
-  bundle.assignment_loss = std::move(run.assignment_loss);
-  return bundle;
-}
-
-/// The assign query for row `t` of `rel`, routed to `model`.
-std::string AssignQuery(const relation::Relation& rel, relation::TupleId t,
-                        const std::string& model) {
-  std::string q = "{\"op\":\"assign\",\"model\":";
-  util::AppendJsonString(model, &q);
-  q += ",\"row\":[";
-  for (relation::AttributeId a = 0; a < rel.NumAttributes(); ++a) {
-    if (a > 0) q.push_back(',');
-    util::AppendJsonString(rel.TextAt(t, a), &q);
-  }
-  q += "]}";
-  return q;
-}
-
-/// A blocking loopback NDJSON client for the load harness: one
-/// connection, send a line, read a line.
-class LoadClient {
- public:
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    struct sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    return true;
-  }
-
-  ~LoadClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool Send(const std::string& line) {
-    std::string framed = line;
-    framed.push_back('\n');
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t w = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return false;
-      sent += static_cast<size_t>(w);
-    }
-    return true;
-  }
-
-  /// Reads one '\n'-terminated response (without the newline). False on
-  /// close or error.
-  bool ReadLine(std::string* line) {
-    line->clear();
-    for (;;) {
-      const size_t newline = buffered_.find('\n');
-      if (newline != std::string::npos) {
-        line->assign(buffered_, 0, newline);
-        buffered_.erase(0, newline + 1);
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n;
-      do {
-        n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      } while (n < 0 && errno == EINTR);
-      if (n <= 0) return false;
-      buffered_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffered_;
-};
-
-/// Closed-loop TCP load harness over the full serve::Server stack: a
-/// 2-model registry, C concurrent client connections alternating models,
-/// one blue/green hot reload mid-run, and a byte-exact check of every
-/// response against the per-model expectation.
-int RunLoadBench(size_t tuples, size_t connections, size_t workers,
-                 double seconds, double p99_limit_us, size_t batch_max,
-                 size_t cache_entries) {
-  datagen::DblpOptions dblp_options;
-  dblp_options.target_tuples = tuples;
-  const relation::Relation rel = datagen::GenerateDblp(dblp_options);
-  const std::vector<core::Dcf> objects = core::BuildTupleObjects(rel);
-
-  // Two genuinely different models over the same schema (k=10 vs k=4),
-  // frozen to disk so the registry's reload path exercises a real load.
-  const std::string stem =
-      "/tmp/micro_limbo_load_" + std::to_string(getpid());
-  const char* names[2] = {"wide", "narrow"};
-  const size_t ks[2] = {10, 4};
-  std::string paths[2];
-  std::vector<std::string> expected[2];  // per-model response per row
-  serve::Registry registry({}, cache_entries);
-  for (int m = 0; m < 2; ++m) {
-    auto bundle = FreezeTupleBundle(rel, objects, ks[m]);
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
-      return 1;
-    }
-    paths[m] = stem + "_" + names[m] + ".limbo";
-    util::Status saved = model::Save(*bundle, paths[m]);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    auto engine = serve::Engine::FromBundle(std::move(*bundle), {});
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-      return 1;
-    }
-    expected[m].reserve(rel.NumTuples());
-    for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
-      expected[m].push_back(
-          engine->HandleLine(AssignQuery(rel, t, names[m])));
-    }
-    util::Status added = registry.AddModel(names[m], paths[m]);
-    if (!added.ok()) {
-      std::fprintf(stderr, "%s\n", added.ToString().c_str());
-      return 1;
-    }
-  }
-
-  serve::ServerOptions server_options;
-  server_options.port = 0;
-  server_options.workers = workers;
-  server_options.poll_ms = 20;
-  server_options.batch_max = batch_max;
-  auto server = serve::Server::Start(&registry, server_options);
-  if (!server.ok()) {
-    std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
-    return 1;
-  }
-  const int port = (*server)->port();
-  std::atomic<int> stop_flag{0};
-  std::thread acceptor([&server, &stop_flag] { (*server)->Run(&stop_flag); });
-
-  // C closed-loop clients, model fixed per connection (even = wide, odd
-  // = narrow), each verifying every response byte-for-byte.
-  std::atomic<uint64_t> total_requests{0};
-  std::atomic<uint64_t> mismatched{0};
-  std::atomic<uint64_t> transport_errors{0};
-  std::vector<std::vector<double>> latencies(connections);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  const auto run_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(connections);
-  for (size_t c = 0; c < connections; ++c) {
-    clients.emplace_back([&, c] {
-      const int m = static_cast<int>(c % 2);
-      const std::vector<std::string>& want = expected[m];
-      std::vector<std::string> queries;
-      queries.reserve(rel.NumTuples());
-      for (relation::TupleId t = 0; t < rel.NumTuples(); ++t) {
-        queries.push_back(AssignQuery(rel, t, names[m]));
-      }
-      LoadClient client;
-      if (!client.Connect(port)) {
-        transport_errors.fetch_add(1);
-        return;
-      }
-      std::string response;
-      size_t t = c;  // stagger the row cursor across connections
-      while (std::chrono::steady_clock::now() < deadline) {
-        const size_t row = t++ % queries.size();
-        const auto start = std::chrono::steady_clock::now();
-        if (!client.Send(queries[row]) || !client.ReadLine(&response)) {
-          transport_errors.fetch_add(1);
-          return;
-        }
-        latencies[c].push_back(std::chrono::duration<double, std::micro>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count());
-        total_requests.fetch_add(1);
-        if (response != want[row]) mismatched.fetch_add(1);
-      }
-    });
-  }
-
-  // One blue/green hot reload of both models mid-run, through the admin
-  // protocol like any other client.
-  bool reload_ok = false;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds / 2));
-  {
-    LoadClient admin;
-    std::string response;
-    if (admin.Connect(port) && admin.Send("{\"op\":\"reload\"}") &&
-        admin.ReadLine(&response)) {
-      reload_ok = response.find("\"ok\":true") != std::string::npos &&
-                  response.find("\"version\":2") != std::string::npos;
-      if (!reload_ok) {
-        std::fprintf(stderr, "reload failed: %s\n", response.c_str());
-      }
-    } else {
-      std::fprintf(stderr, "reload connection failed\n");
-    }
-  }
-
-  for (std::thread& client : clients) client.join();
-  const double elapsed = Seconds(run_start);
-  stop_flag.store(1);
-  acceptor.join();
-  const uint64_t sheds = (*server)->sheds();
-  const uint64_t batches = (*server)->batches();
-  const uint64_t batched_requests = (*server)->batched_requests();
-  const uint64_t cache_hits = registry.CacheHits();
-  for (const std::string& path : paths) unlink(path.c_str());
-
-  std::vector<double> all;
-  for (const std::vector<double>& lane : latencies) {
-    all.insert(all.end(), lane.begin(), lane.end());
-  }
-  std::sort(all.begin(), all.end());
-  const double p50 = all.empty() ? 0.0 : all[all.size() / 2];
-  const double p99 = all.empty() ? 0.0 : all[all.size() * 99 / 100];
-  const uint64_t requests = total_requests.load();
-  const bool bit_identical = mismatched.load() == 0 &&
-                             transport_errors.load() == 0 && requests > 0;
-  const bool p99_ok = p99_limit_us <= 0.0 || p99 <= p99_limit_us;
-  if (!p99_ok) {
-    std::fprintf(stderr, "p99 %.2fus exceeds --p99-limit-us=%.2f\n", p99,
-                 p99_limit_us);
-  }
-
-  obs::ReportSection load("serve_load");
-  load.AddField("tuples", static_cast<uint64_t>(rel.NumTuples()));
-  load.AddField("models", 2);
-  load.AddField("connections", static_cast<uint64_t>(connections));
-  load.AddField("workers", static_cast<uint64_t>(workers));
-  load.AddField("batch_max", static_cast<uint64_t>(batch_max));
-  load.AddField("cache_entries", static_cast<uint64_t>(cache_entries));
-  load.AddField("seconds", elapsed);
-  load.AddField("requests", requests);
-  load.AddField("qps", static_cast<double>(requests) / elapsed);
-  load.AddField("p50_us", p50);
-  load.AddField("p99_us", p99);
-  load.AddField("batches", batches);
-  load.AddField("mean_batch", batches == 0
-                                  ? 0.0
-                                  : static_cast<double>(batched_requests) /
-                                        static_cast<double>(batches));
-  load.AddField("cache_hits", cache_hits);
-  load.AddField("reload_mid_run", reload_ok);
-  load.AddField("sheds", sheds);
-  load.AddField("mismatched", mismatched.load());
-  load.AddField("bit_identical", bit_identical);
-  PrintReport("micro_limbo --load", {std::move(load)});
-  return (bit_identical && reload_ok && p99_ok) ? 0 : 1;
-}
-
 /// The `--name=value` flags of one mode, parsed strictly. Any flag the
 /// mode does not take, and any number that does not parse in full, is
 /// reported on stderr and clears ok(), and main exits 2.
@@ -973,28 +665,13 @@ class ModeFlags {
     return it == values_.end() ? "" : it->second;
   }
 
-  /// An integer in [min, max].
-  size_t Size(const std::string& name, size_t fallback, size_t min = 0,
-              size_t max = SIZE_MAX) {
+  /// An integer >= min.
+  size_t Size(const std::string& name, size_t fallback, size_t min) {
     auto it = values_.find(name);
     size_t value = fallback;
     if (it != values_.end() &&
-        (!util::ParseSize(it->second, &value) || value < min ||
-         value > max)) {
-      Reject(name,
-             max == SIZE_MAX ? util::StrFormat("an integer >= %zu", min)
-                             : util::StrFormat("an integer in [%zu, %zu]",
-                                               min, max),
-             it->second);
-    }
-    return value;
-  }
-
-  double Real(const std::string& name, double fallback) {
-    auto it = values_.find(name);
-    double value = fallback;
-    if (it != values_.end() && !util::ParseReal(it->second, &value)) {
-      Reject(name, "a finite number", it->second);
+        (!util::ParseSize(it->second, &value) || value < min)) {
+      Reject(name, util::StrFormat("an integer >= %zu", min), it->second);
     }
     return value;
   }
@@ -1018,7 +695,7 @@ int main(int argc, char** argv) {
   std::string mode;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--kernel" || arg == "--stream" || arg == "--load") mode = arg;
+    if (arg == "--kernel" || arg == "--stream") mode = arg;
     if (arg.rfind("--stream-arm=", 0) == 0) mode = "--stream-arm";
   }
   if (mode == "--kernel") {
@@ -1035,23 +712,6 @@ int main(int argc, char** argv) {
     const size_t tuples = flags.Size("tuples", 20000, 1);
     if (!flags.ok()) return 2;
     return RunStreamBench(tuples);
-  }
-  if (mode == "--load") {
-    ModeFlags flags(mode, argc, argv,
-                    {"tuples", "connections", "serve-workers", "load-seconds",
-                     "p99-limit-us", "batch-max", "cache-entries"});
-    const size_t tuples = flags.Size("tuples", 5000, 1);
-    const size_t connections = flags.Size("connections", 8);
-    const size_t serve_workers = flags.Size("serve-workers", 4);
-    const double load_seconds = flags.Real("load-seconds", 2.0);
-    const double p99_limit_us = flags.Real("p99-limit-us", 0.0);
-    const size_t batch_max = flags.Size("batch-max", 16);
-    const size_t cache_entries = flags.Size("cache-entries", 0);
-    if (!flags.ok()) return 2;
-    return RunLoadBench(tuples, std::max<size_t>(connections, 1),
-                        std::max<size_t>(serve_workers, 1),
-                        load_seconds > 0.0 ? load_seconds : 2.0, p99_limit_us,
-                        std::max<size_t>(batch_max, 1), cache_entries);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;

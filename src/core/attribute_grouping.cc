@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/limbo.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "util/strings.h"
@@ -66,39 +65,15 @@ util::Result<AttributeGroupingResult> GroupAttributes(
     objects.push_back(std::move(obj));
   }
 
-  // Membership tracking per dendrogram leaf.
-  std::vector<fd::AttributeSet> leaf_members;
-  std::vector<Dcf> aib_inputs;
-  if (options.phi_a > 0.0) {
-    // Pre-summarize with Phase 1 and recover leaf membership via Phase 3.
-    LimboOptions lo;
-    lo.phi = options.phi_a;
-    VectorDcfStream stream(objects);
-    LIMBO_ASSIGN_OR_RETURN(Phase1Summary phase1, SummarizePhase1(stream, lo));
-    aib_inputs = std::move(phase1.leaves);
-    LIMBO_ASSIGN_OR_RETURN(
-        std::vector<uint32_t> labels,
-        LimboPhase3(objects, aib_inputs, nullptr, options.threads));
-    leaf_members.assign(aib_inputs.size(), fd::AttributeSet());
-    for (size_t i = 0; i < q; ++i) {
-      leaf_members[labels[i]] =
-          leaf_members[labels[i]].With(result.attributes[i]);
-    }
-  } else {
-    aib_inputs = objects;
-    leaf_members.reserve(q);
-    for (relation::AttributeId a : result.attributes) {
-      leaf_members.push_back(fd::AttributeSet::Single(a));
-    }
-  }
-
   AibOptions aib_options;
   aib_options.threads = options.threads;
-  LIMBO_ASSIGN_OR_RETURN(result.aib, AgglomerativeIb(aib_inputs, aib_options));
+  LIMBO_ASSIGN_OR_RETURN(result.aib, AgglomerativeIb(objects, aib_options));
 
-  result.cluster_members = std::move(leaf_members);
-  result.cluster_members.resize(aib_inputs.size() +
-                                result.aib.merges().size());
+  // Leaf i of the dendrogram is attribute i of A_D.
+  result.cluster_members.resize(q + result.aib.merges().size());
+  for (size_t i = 0; i < q; ++i) {
+    result.cluster_members[i] = fd::AttributeSet::Single(result.attributes[i]);
+  }
   for (const Merge& merge : result.aib.merges()) {
     result.cluster_members[merge.merged] =
         result.cluster_members[merge.left].Union(

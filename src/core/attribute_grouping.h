@@ -32,12 +32,11 @@ struct AttributeGroupingResult {
   std::string DendrogramText(const relation::Schema& schema) const;
 };
 
+/// The attributes are clustered by exact AIB (the paper's φ_A = 0): a
+/// Schema holds at most 64 attributes, so there is nothing to summarize.
 struct AttributeGroupingOptions {
-  /// φ_A; the paper uses 0.0 (exact AIB) since m is small. Values > 0
-  /// pre-merge attributes whose loss is below φ_A · I(A;CV_D)/|A_D|.
-  double phi_a = 0.0;
-  /// Worker lanes for the pairwise AIB distance build and the Phase-3
-  /// scan (0 = default lane count, 1 = serial; results bit-identical).
+  /// Worker lanes for AIB (0 = default lane count, 1 = serial; results
+  /// bit-identical).
   size_t threads = 0;
 };
 

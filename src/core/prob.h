@@ -123,9 +123,10 @@ struct DistributionView {
 /// Slab (CSR) storage for the distribution working set of a clustering
 /// run: every row lives in one contiguous {id, mass} array with a
 /// parallel cached-log2(mass) array and an offsets table. AIB keeps its
-/// slot conditionals here, so the quadratic distance scans stream one allocation instead of hopping
-/// between per-cluster heap vectors, and the per-entry logs are computed
-/// once per row instead of once per evaluation.
+/// slot conditionals here, so its δI evaluations read one allocation
+/// instead of hopping between per-cluster heap vectors, and the
+/// per-entry logs are computed once per row instead of once per
+/// evaluation.
 ///
 /// Rows are immutable once appended; merging clusters appends the merged
 /// row (AppendMerge) and the caller retires the old index. Appending may

@@ -58,25 +58,8 @@ util::Result<ModelBundle> FitModel(const relation::Relation& rel,
   summary_options.psi = options.psi;
   LIMBO_ASSIGN_OR_RETURN(core::StructureSummary summary,
                          core::SummarizeStructure(rel, summary_options));
-  bundle.value_mutual_information = summary.values.mutual_information;
-  bundle.value_threshold = summary.values.threshold;
-  bundle.value_groups = std::move(summary.values.groups);
-  bundle.duplicate_groups.reserve(summary.values.duplicate_groups.size());
-  for (size_t g : summary.values.duplicate_groups) {
-    bundle.duplicate_groups.push_back(static_cast<uint32_t>(g));
-  }
-  bundle.has_grouping = summary.has_grouping;
-  if (summary.has_grouping) {
-    bundle.grouping_attributes = std::move(summary.grouping.attributes);
-    bundle.grouping_num_objects = summary.grouping.aib.num_objects();
-    bundle.grouping_merges = summary.grouping.aib.merges();
-    bundle.grouping_cluster_members.reserve(
-        summary.grouping.cluster_members.size());
-    for (const fd::AttributeSet& s : summary.grouping.cluster_members) {
-      bundle.grouping_cluster_members.push_back(s.bits());
-    }
-    bundle.max_merge_loss = summary.grouping.max_merge_loss;
-  }
+  StoreStructure(std::move(summary.values),
+                 summary.has_grouping ? &summary.grouping : nullptr, &bundle);
   bundle.num_fds = summary.num_fds;
   bundle.ranked_fds = std::move(summary.ranked_cover);
 

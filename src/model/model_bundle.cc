@@ -785,4 +785,39 @@ util::Result<ModelBundle> Load(const std::string& path) {
   return ParseBundle(buf.str());
 }
 
+void StoreStructure(core::ValueClusteringResult values,
+                    const core::AttributeGroupingResult* grouping,
+                    ModelBundle* bundle) {
+  bundle->value_mutual_information = values.mutual_information;
+  bundle->value_threshold = values.threshold;
+  bundle->value_groups = std::move(values.groups);
+  bundle->duplicate_groups.clear();
+  for (size_t g : values.duplicate_groups) {
+    bundle->duplicate_groups.push_back(static_cast<uint32_t>(g));
+  }
+  if (grouping == nullptr) return;
+  bundle->has_grouping = true;
+  bundle->grouping_attributes = grouping->attributes;
+  bundle->grouping_num_objects = grouping->aib.num_objects();
+  bundle->grouping_merges = grouping->aib.merges();
+  bundle->grouping_cluster_members.clear();
+  for (const fd::AttributeSet& s : grouping->cluster_members) {
+    bundle->grouping_cluster_members.push_back(s.bits());
+  }
+  bundle->max_merge_loss = grouping->max_merge_loss;
+}
+
+core::AttributeGroupingResult StoredGrouping(const ModelBundle& bundle) {
+  core::AttributeGroupingResult grouping;
+  grouping.attributes = bundle.grouping_attributes;
+  grouping.aib =
+      core::AibResult(bundle.grouping_num_objects, bundle.grouping_merges);
+  grouping.cluster_members.reserve(bundle.grouping_cluster_members.size());
+  for (uint64_t bits : bundle.grouping_cluster_members) {
+    grouping.cluster_members.push_back(fd::AttributeSet(bits));
+  }
+  grouping.max_merge_loss = bundle.max_merge_loss;
+  return grouping;
+}
+
 }  // namespace limbo::model

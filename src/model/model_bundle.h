@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/aib.h"
+#include "core/attribute_grouping.h"
 #include "core/dcf.h"
 #include "core/dcf_tree.h"
 #include "core/fd_rank.h"
@@ -205,6 +206,19 @@ util::Result<ModelBundle> ParseBundle(const std::string& bytes);
 /// mid-write can never leave a truncated `.limbo` behind.
 util::Status Save(const ModelBundle& bundle, const std::string& path);
 util::Result<ModelBundle> Load(const std::string& path);
+
+/// Stores the value groups, CV_D and value-stage I(V;T) and threshold of
+/// `values` in `bundle` and, when `grouping` is non-null, the attribute
+/// dendrogram (setting has_grouping). A null `grouping` leaves the
+/// bundle's dendrogram fields as they are. Fit and refit both store the
+/// derived structure through it.
+void StoreStructure(core::ValueClusteringResult values,
+                    const core::AttributeGroupingResult* grouping,
+                    ModelBundle* bundle);
+
+/// The attribute dendrogram `bundle` stores (meaningful when
+/// has_grouping): the inverse of StoreStructure's grouping half.
+core::AttributeGroupingResult StoredGrouping(const ModelBundle& bundle);
 
 /// FNV-1a 64-bit checksum (exposed for tests).
 uint64_t Fnv1a(const void* data, size_t size);

@@ -111,36 +111,14 @@ util::Status RefreshDerivedStructure(const ModelBundle& parent,
                                     absorbed.dictionary().Text(v)));
     }
   }
-  child->value_mutual_information = values.mutual_information;
-  child->value_threshold = values.threshold;
-  child->value_groups = std::move(values.groups);
-  child->duplicate_groups.clear();
-  for (size_t g : values.duplicate_groups) {
-    child->duplicate_groups.push_back(static_cast<uint32_t>(g));
-  }
+  StoreStructure(std::move(values), rederived_grouping ? &grouping : nullptr,
+                 child);
   if (rederived_grouping) {
-    child->has_grouping = true;
-    child->grouping_attributes = grouping.attributes;
-    child->grouping_num_objects = grouping.aib.num_objects();
-    child->grouping_merges = grouping.aib.merges();
-    child->grouping_cluster_members.clear();
-    for (const fd::AttributeSet& s : grouping.cluster_members) {
-      child->grouping_cluster_members.push_back(s.bits());
-    }
-    child->max_merge_loss = grouping.max_merge_loss;
     LIMBO_OBS_COUNT("refit.grouping_rederived", 1);
   } else if (child->has_grouping) {
     // CV_D of the absorbed rows was empty: keep the parent's dendrogram
     // (already copied into the child) as the ranking anchor.
-    grouping.attributes = child->grouping_attributes;
-    grouping.aib = core::AibResult(child->grouping_num_objects,
-                                   child->grouping_merges);
-    grouping.cluster_members.reserve(
-        child->grouping_cluster_members.size());
-    for (uint64_t bits : child->grouping_cluster_members) {
-      grouping.cluster_members.push_back(fd::AttributeSet(bits));
-    }
-    grouping.max_merge_loss = child->max_merge_loss;
+    grouping = StoredGrouping(*child);
   }
 
   // --- FD cover re-validated against the absorbed rows ---

@@ -78,21 +78,5 @@ TEST(AttributeGroupingTest, AttributesOutsideAdAreExcluded) {
   }
 }
 
-TEST(AttributeGroupingTest, PhiAPositivePreMergesIdenticalRows) {
-  const auto rel = PaperFigure4();
-  auto values = ClusterValues(rel, {});
-  ASSERT_TRUE(values.ok());
-  AttributeGroupingOptions options;
-  options.phi_a = 0.5;
-  auto grouping = GroupAttributes(rel, *values, options);
-  ASSERT_TRUE(grouping.ok());
-  // Membership is still complete.
-  fd::AttributeSet all;
-  for (const auto& members : grouping->cluster_members) {
-    all = all.Union(members);
-  }
-  EXPECT_EQ(all, fd::AttributeSet::FromList({0, 1, 2}));
-}
-
 }  // namespace
 }  // namespace limbo::core

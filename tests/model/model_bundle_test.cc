@@ -223,6 +223,40 @@ TEST(ModelBundleTest, SerializationIsDeterministic) {
   EXPECT_EQ(SerializeBundle(bundle), SerializeBundle(bundle));
 }
 
+// Fit and refit store the derived structure through StoreStructure, and
+// a refit that keeps its parent's dendrogram reads it back through
+// StoredGrouping: storing what was read back rewrites the same bytes,
+// and a null grouping leaves the stored dendrogram in place.
+TEST(ModelBundleTest, StoreStructureAndStoredGroupingAreInverses) {
+  const ModelBundle fit = FittedBundle();
+  ASSERT_TRUE(fit.has_grouping);
+  const core::AttributeGroupingResult grouping = StoredGrouping(fit);
+  core::ValueClusteringResult values;
+  values.groups = fit.value_groups;
+  values.duplicate_groups.assign(fit.duplicate_groups.begin(),
+                                 fit.duplicate_groups.end());
+  values.mutual_information = fit.value_mutual_information;
+  values.threshold = fit.value_threshold;
+
+  ModelBundle stored = fit;
+  stored.value_mutual_information = 0.0;
+  stored.value_threshold = 0.0;
+  stored.value_groups.clear();
+  stored.duplicate_groups.clear();
+  stored.has_grouping = false;
+  stored.grouping_attributes.clear();
+  stored.grouping_num_objects = 0;
+  stored.grouping_merges.clear();
+  stored.grouping_cluster_members.clear();
+  stored.max_merge_loss = 0.0;
+  StoreStructure(values, &grouping, &stored);
+  EXPECT_EQ(SerializeBundle(stored), SerializeBundle(fit));
+
+  ModelBundle kept = fit;
+  StoreStructure(values, nullptr, &kept);
+  EXPECT_EQ(SerializeBundle(kept), SerializeBundle(fit));
+}
+
 TEST(ModelBundleTest, FileRoundTrip) {
   const ModelBundle bundle = FittedBundle();
   const std::string path = testing::TempDir() + "/round_trip.limbo";

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +41,25 @@ std::vector<std::vector<std::string>> TestRows() {
       {"Austin", "TX", "73301", "frank"}, {"Austin", "TX", "73301", "grace"},
       {"Salem", "OR", "97301", "heidi"},  {"Salem", "OR", "97301", "ivan"},
   };
+}
+
+/// The assign query for `row`, routed to `model` (the default model when
+/// `model` is empty).
+std::string AssignQuery(const std::vector<std::string>& row,
+                        const std::string& model = "") {
+  std::string q = "{\"op\":\"assign\",";
+  if (!model.empty()) {
+    q += "\"model\":";
+    util::AppendJsonString(model, &q);
+    q.push_back(',');
+  }
+  q += "\"row\":[";
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) q.push_back(',');
+    util::AppendJsonString(row[i], &q);
+  }
+  q += "]}";
+  return q;
 }
 
 relation::Relation TestRelation() {
@@ -450,37 +470,63 @@ TEST_F(ServerTest, ShedsWhenPendingQueueFull) {
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
 }
 
+/// One serving configuration of the reload-under-load gate: the server's
+/// cross-connection batch cap (1 = unbatched) and the registry's response
+/// cache size (0 = off).
+struct LoadArm {
+  size_t batch_max;
+  size_t cache_entries;
+};
+
+void PrintTo(const LoadArm& arm, std::ostream* os) {
+  *os << "batch" << arm.batch_max << "_cache" << arm.cache_entries;
+}
+
+class ServerLoadTest : public ServerTest,
+                       public ::testing::WithParamInterface<LoadArm> {};
+
 // The tentpole guarantee: hot reload under live concurrent traffic
-// drops nothing and never serves a half-loaded model. Clients hammer
-// both models with known-answer queries while reloads fire; every
-// response must be byte-identical to one of the model's valid states
-// (here the bundle file never changes, so THE valid state).
-TEST_F(ServerTest, ReloadUnderLoadDropsNothing) {
-  StartServer(/*workers=*/4);
-  const char* models[2] = {"wide", "narrow"};
-  std::string queries[2];
-  std::string want[2];
-  for (int m = 0; m < 2; ++m) {
-    queries[m] = std::string("{\"op\":\"assign\",\"model\":\"") + models[m] +
-                 "\",\"row\":[\"Denver\",\"CO\",\"80201\",\"bob\"]}";
-    want[m] = Expected(registry_.get(), queries[m]);
+// drops nothing and never serves a half-loaded model, unbatched, batched
+// and with the response cache on. 32 clients cycle every row of
+// TestRows() through both models while 20 blue/green reloads fire;
+// every response must be byte-identical to the registry's single-line
+// answer (the bundle files never change, so there is one valid state).
+TEST_P(ServerLoadTest, ReloadUnderLoadDropsNothing) {
+  constexpr size_t kClients = 32;
+  constexpr size_t kRequestsPerClient = 48;
+  StartServer(/*workers=*/4, /*max_pending=*/128, GetParam().batch_max,
+              GetParam().cache_entries);
+  std::vector<std::string> queries;
+  for (const char* model : {"wide", "narrow"}) {
+    for (const auto& row : TestRows()) {
+      queries.push_back(AssignQuery(row, model));
+    }
+  }
+  std::vector<std::string> want;
+  for (const std::string& query : queries) {
+    want.push_back(Expected(registry_.get(), query));
   }
 
+  // Each client keeps sending until the last reload has been answered,
+  // so the reloads land amid the traffic.
+  std::atomic<bool> reloading{true};
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> answered{0};
   std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
+  for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const int m = c % 2;
       TestClient client;
       if (!client.Connect(port())) {
         failed.store(true);
         return;
       }
-      for (int i = 0; i < 150 && !failed.load(); ++i) {
+      for (size_t i = 0;
+           (i < kRequestsPerClient || reloading.load()) && !failed.load();
+           ++i) {
+        const size_t q = (c + i) % queries.size();  // staggered cursor
         std::string response;
-        if (!client.SendLine(queries[m]) || !client.ReadLine(&response) ||
-            response != want[m]) {
+        if (!client.SendLine(queries[q]) || !client.ReadLine(&response) ||
+            response != want[q]) {
           failed.store(true);
           return;
         }
@@ -489,27 +535,48 @@ TEST_F(ServerTest, ReloadUnderLoadDropsNothing) {
     });
   }
 
-  // ~20 blue/green reloads through the admin protocol, mid-traffic.
+  // 20 blue/green reloads through the admin protocol, mid-traffic.
   TestClient admin;
-  ASSERT_TRUE(admin.Connect(port()));
+  const bool admin_connected = admin.Connect(port());
   uint64_t reloads_ok = 0;
-  for (int r = 0; r < 20; ++r) {
+  for (int r = 0; admin_connected && r < 20; ++r) {
     std::string response;
-    ASSERT_TRUE(admin.SendLine("{\"op\":\"reload\"}"));
-    ASSERT_TRUE(admin.ReadLine(&response));
+    if (!admin.SendLine("{\"op\":\"reload\"}") ||
+        !admin.ReadLine(&response)) {
+      break;
+    }
     if (response.find("\"ok\":true") != std::string::npos) ++reloads_ok;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  reloading.store(false);
   for (std::thread& client : clients) client.join();
 
+  ASSERT_TRUE(admin_connected);
   EXPECT_FALSE(failed.load()) << "a response was dropped or mixed";
-  EXPECT_EQ(answered.load(), 4u * 150u);
+  EXPECT_GE(answered.load(), kClients * kRequestsPerClient);
   EXPECT_EQ(reloads_ok, 20u);
   // 20 reloads x 2 models, versions end at 21.
   for (const ModelInfo& info : registry_->ListModels()) {
     EXPECT_EQ(info.version, 21u) << info.name;
   }
+  // Two quiet passes over the queries: the second is answered from the
+  // cache when it is on, and must still carry the same bytes.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::string response;
+      ASSERT_TRUE(admin.SendLine(queries[q]));
+      ASSERT_TRUE(admin.ReadLine(&response));
+      EXPECT_EQ(response, want[q]) << queries[q];
+    }
+  }
+  EXPECT_EQ(registry_->CacheHits() > 0, GetParam().cache_entries > 0);
 }
+
+// The three serving configurations: unbatched, batched, and batched with
+// the response cache.
+INSTANTIATE_TEST_SUITE_P(BatchCache, ServerLoadTest,
+                         ::testing::Values(LoadArm{1, 0}, LoadArm{16, 0},
+                                           LoadArm{16, 8192}));
 
 // SIGHUP semantics: the reload flag handed to Run triggers ReloadAll
 // without dropping the connection that is mid-conversation.
@@ -546,15 +613,7 @@ TEST_F(ServerTest, ReloadFlagTriggersReloadAll) {
 TEST_F(ServerTest, BitIdenticalAcrossWorkerCounts) {
   StartServer(/*workers=*/4);
   std::vector<std::string> queries;
-  for (const auto& row : TestRows()) {
-    std::string q = "{\"op\":\"assign\",\"row\":[";
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) q.push_back(',');
-      util::AppendJsonString(row[i], &q);
-    }
-    q += "]}";
-    queries.push_back(std::move(q));
-  }
+  for (const auto& row : TestRows()) queries.push_back(AssignQuery(row));
   std::vector<std::string> want;
   want.reserve(queries.size());
   for (const std::string& query : queries) {
@@ -594,15 +653,7 @@ class BatchedServerTest : public ServerTest {
   void RunPipelinedBatchTest(size_t workers) {
     StartServer(workers, /*max_pending=*/128, /*batch_max=*/8);
     std::vector<std::string> queries;
-    for (const auto& row : TestRows()) {
-      std::string q = "{\"op\":\"assign\",\"row\":[";
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) q.push_back(',');
-        util::AppendJsonString(row[i], &q);
-      }
-      q += "]}";
-      queries.push_back(std::move(q));
-    }
+    for (const auto& row : TestRows()) queries.push_back(AssignQuery(row));
     queries.push_back(
         "{\"op\":\"duplicates\",\"model\":\"narrow\","
         "\"row\":[\"Boston\",\"MA\",\"02134\",\"alice\"]}");

@@ -45,28 +45,19 @@ const limbo::obs::ReportSection* FindSection(
   return nullptr;
 }
 
-TEST(MicroLimboTest, LoadRejectsAnUnknownFlag) {
-  // --p99-limit is not --p99-limit-us: the latency gate must not run off.
-  EXPECT_EQ(RunMicroLimbo("--load --tuples=300 --load-seconds=0.2 "
-                          "--p99-limit=1")
-                .exit_code,
+TEST(MicroLimboTest, StreamRejectsAnUnknownFlag) {
+  // --stream takes --tuples alone; a flag of a retired mode must not run.
+  EXPECT_EQ(RunMicroLimbo("--stream --tuples=300 --p99-limit-us=1").exit_code,
             2);
 }
 
-TEST(MicroLimboTest, LoadRejectsAMalformedNumber) {
-  EXPECT_EQ(RunMicroLimbo("--load --tuples=300 --load-seconds=0.2 "
-                          "--p99-limit-us=abc")
-                .exit_code,
-            2);
-  EXPECT_EQ(RunMicroLimbo("--load --tuples=300 --load-seconds=0.2 "
-                          "--connections=2x")
-                .exit_code,
-            2);
+TEST(MicroLimboTest, StreamRejectsAMalformedNumber) {
+  EXPECT_EQ(RunMicroLimbo("--stream --tuples=2x").exit_code, 2);
 }
 
 TEST(MicroLimboTest, RetiredModesExit2) {
   for (const char* mode : {"--serve", "--refit", "--schemes",
-                           "--thread-scaling", "--report",
+                           "--thread-scaling", "--report", "--load",
                            "--refit-tuples=300"}) {
     EXPECT_EQ(RunMicroLimbo(std::string(mode) + " --tuples=300").exit_code, 2)
         << mode;
@@ -89,24 +80,13 @@ TEST(MicroLimboTest, StreamPrintsARunReportWithEquivalentArms) {
   EXPECT_TRUE(equivalent);
 }
 
-TEST(MicroLimboTest, KernelAndLoadPrintRunReports) {
-  const struct {
-    const char* args;
-    const char* section;
-  } modes[] = {
-      {"--kernel", "kernel"},
-      {"--load --tuples=300 --load-seconds=0.2 --connections=2",
-       "serve_load"},
-  };
-  for (const auto& mode : modes) {
-    const RunResult r = RunMicroLimbo(mode.args);
-    ASSERT_EQ(r.exit_code, 0) << mode.args;
-    auto report = limbo::obs::RunReport::FromJson(r.out);
-    ASSERT_TRUE(report.ok()) << mode.args << ": "
-                             << report.status().ToString();
-    ASSERT_FALSE(report->sections.empty()) << mode.args;
-    EXPECT_EQ(report->sections[0].title, mode.section);
-  }
+TEST(MicroLimboTest, KernelPrintsARunReport) {
+  const RunResult r = RunMicroLimbo("--kernel");
+  ASSERT_EQ(r.exit_code, 0);
+  auto report = limbo::obs::RunReport::FromJson(r.out);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->sections.empty());
+  EXPECT_EQ(report->sections[0].title, "kernel");
 }
 
 }  // namespace
